@@ -236,8 +236,10 @@ def cmd_verify_kernel(cfg, jobs, outdir):
         axes_r = [Axis("t", 1.0, 1.5, round(0.5 / hh)),
                   Axis("x", -3.0, 3.0, round(6.0 / hh)),
                   Axis("v", -3.0, 3.0, round(6.0 / hh))]
-        T, Xr, Vr = np.meshgrid(*[a.centers() for a in axes_r], indexing="ij")
-        gvals = ker.gamma(T, Xr[..., None], Vr[..., None], d=1)
+        ts, xs, vs = (a.centers() for a in axes_r)
+        gvals = np.empty(tuple(a.n for a in axes_r))
+        for k, tk in enumerate(ts):  # one t-slab at a time: no full meshgrid
+            gvals[k] = ker.gamma(tk, xs[:, None, None], vs[None, :, None], d=1)
         reps.append(ker.kolmogorov_residual(GridFunction(axes_r, gvals)))
     order = ker.residual_convergence_order(reps, hs)
     records.append({"check": "residual_order", "passed": bool(order >= 1.8),

@@ -8,7 +8,7 @@ on uniform lattices with a reported boundary-cell slack.  The continuum
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage

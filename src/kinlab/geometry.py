@@ -11,7 +11,7 @@ x and v); covering routines depend on these boundary semantics.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -46,6 +46,24 @@ class Axis:
         return self.lo + (np.arange(self.n) + 0.5) * self.h
 
 
+def _stencil(axis, c):
+    """Linear interpolation stencil of `axis` at coordinates c.
+
+    Returns the two cell indices (i0, i1), the weight f of cell i1 (cell i0
+    gets 1 - f) and whether c lies in the closed box [lo, hi].  Inside the
+    half-cell boundary layer the stencil is clamped to the lattice, which
+    extrapolates the outermost cell value as a constant.
+    """
+    u = (c - axis.lo) / axis.h - 0.5
+    inside = (c >= axis.lo) & (c <= axis.hi)
+    i0 = np.floor(u).astype(int)
+    f = u - i0
+    f = np.where(i0 < 0, 0.0, f)
+    f = np.where(i0 > axis.n - 2, 1.0, f)
+    i0 = np.clip(i0, 0, max(axis.n - 2, 0))
+    return i0, np.minimum(i0 + 1, axis.n - 1), f, inside
+
+
 class GridFunction:
     """Values on a uniform cell-centered lattice over a box."""
 
@@ -107,28 +125,19 @@ class GridFunction:
         pts = np.asarray(points, dtype=float)
         flat = pts.reshape(-1, len(self.axes))
         inside = np.ones(flat.shape[0], dtype=bool)
-        idx = []
-        frac = []
+        stencils = []
         for k, a in enumerate(self.axes):
-            u = (flat[:, k] - a.lo) / a.h - 0.5
-            inside &= (flat[:, k] >= a.lo) & (flat[:, k] <= a.hi)
-            i0 = np.floor(u).astype(int)
-            f = u - i0
-            # clamp interpolation stencil to the lattice (constant extrapolation
-            # inside the half-cell boundary layer)
-            f = np.where(i0 < 0, 0.0, f)
-            f = np.where(i0 > a.n - 2, 1.0, f)
-            i0 = np.clip(i0, 0, max(a.n - 2, 0))
-            idx.append(i0)
-            frac.append(f)
+            i0, i1, f, inside_k = _stencil(a, flat[:, k])
+            inside &= inside_k
+            stencils.append((i0, i1, f))
         out = np.zeros(flat.shape[0])
         for corner in range(2 ** len(self.axes)):
             w = np.ones(flat.shape[0])
             loc = []
-            for k in range(len(self.axes)):
+            for k, (i0, i1, f) in enumerate(stencils):
                 bit = (corner >> k) & 1
-                w = w * (frac[k] if bit else 1.0 - frac[k])
-                loc.append(np.minimum(idx[k] + bit, self.axes[k].n - 1))
+                w = w * (f if bit else 1.0 - f)
+                loc.append(i1 if bit else i0)
             out += w * self.values[tuple(loc)]
         out[~inside] = 0.0
         outside_fraction = float((~inside).mean()) if flat.size else 0.0

@@ -106,6 +106,75 @@ def test_convolution_is_bilinear():
     assert np.allclose(a.values, 2 * b.values + c.values, atol=1e-12)
 
 
+def _convolve_by_sampling(f, g, out_axes):
+    """Reference group convolution: GridFunction.sample at every
+    (output, input) pair, on axes ordered (t, x..., v...)."""
+    d = (len(g.axes) - 1) // 2
+    out = GridFunction(out_axes)
+    zo = np.stack([c.ravel() for c in out.meshgrid()], axis=-1)
+    zg = np.stack([c.ravel() for c in g.meshgrid()], axis=-1)
+    dt = zo[:, None, :1] - zg[None, :, :1]
+    w = zg[None, :, 1 + d:]
+    dx = zo[:, None, 1:1 + d] - zg[None, :, 1:1 + d] - dt * w
+    dv = zo[:, None, 1 + d:] - w
+    pts = np.concatenate([dt, dx, dv], axis=-1)
+    vals, _ = f.sample(pts)
+    lo = np.array([a.lo for a in f.axes])
+    hi = np.array([a.hi for a in f.axes])
+    outside = ~np.all((pts >= lo) & (pts <= hi), axis=-1)
+    gv = g.values.ravel()
+    conv = (vals * gv).sum(axis=1).reshape(out.shape) * g.cell_volume
+    trunc = float((outside * np.abs(gv)).sum()) * g.cell_volume / zo.shape[0]
+    return conv, trunc
+
+
+@pytest.mark.parametrize("f_axes, out_axes", [
+    # d = 1, output on f's lattice
+    ([Axis("t", 0, 1, 4), Axis("x", -2, 2, 9), Axis("v", -2, 2, 8)], None),
+    # d = 1, output past f's box: truncation and the half-cell clamp
+    ([Axis("t", 0, 1, 4), Axis("x", -2, 2, 9), Axis("v", -2, 2, 8)],
+     [Axis("t", -0.3, 1.4, 5), Axis("x", -3, 2.6, 7), Axis("v", -2.4, 2.9, 6)]),
+    # d = 2
+    ([Axis("t", 0, 1, 3), Axis("x", -1, 1, 4), Axis("x", -1, 1.2, 3),
+      Axis("v", -1, 1, 3), Axis("v", -1.5, 1, 4)], None),
+])
+def test_convolution_matches_pointwise_sampling(f_axes, out_axes):
+    rng = np.random.default_rng(9)
+    shape = tuple(a.n for a in f_axes)
+    f = GridFunction(f_axes, rng.random(shape))
+    g = GridFunction(f_axes, rng.normal(size=shape))
+    ref, ref_trunc = _convolve_by_sampling(f, g, out_axes or f_axes)
+    res = ker.kin_convolve(f, g, out_axes=out_axes)
+    assert np.allclose(res.out.values, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+    assert res.truncation_mass == pytest.approx(ref_trunc, rel=1e-12)
+    if out_axes is not None:
+        assert res.truncation_mass > 0.0
+
+
+def test_kolmogorov_residual_equals_periodic_difference_reference():
+    axes = [Axis("t", 1.0, 1.5, 6), Axis("x", -2, 2, 10), Axis("v", -2, 2, 12)]
+    T, X, V = np.meshgrid(*[a.centers() for a in axes], indexing="ij")
+    vals = ker.gamma(T, X[..., None], V[..., None], d=1)
+    ht, hx, hv = (a.h for a in axes)
+
+    def diff(axis, h):
+        return (np.roll(vals, -1, axis) - np.roll(vals, 1, axis)) / (2 * h)
+
+    second = (np.roll(vals, -1, 2) - 2 * vals + np.roll(vals, 1, 2)) / hv ** 2
+    res = (diff(0, ht) + V * diff(1, hx) - second)[1:-1, 1:-1, 1:-1]
+    rep = ker.kolmogorov_residual(GridFunction(axes, vals))
+    assert rep.max_residual == float(np.abs(res).max())
+    assert rep.l2_residual == float(np.sqrt((res ** 2).sum() * ht * hx * hv))
+
+
+def test_scaled_integrability_probe_follows_exponent():
+    G = GridFunction([Axis("x", -1, 1, 8), Axis("v", -1, 1, 8)], np.ones((8, 8)))
+    ok = ker.scaled_integrability_probe(0.3, G, 1.0, 1.0)
+    assert ok.should_converge and ok.converged
+    bad = ker.scaled_integrability_probe(1.5, G, 1.0, 1.0)
+    assert not bad.should_converge and not bad.converged
+
+
 def test_x_regularity_exponents_monotone():
     p0, q0 = ker.x_regularity_exponents(0.3, 1)
     p1, q1 = ker.x_regularity_exponents(0.1, 1)
