@@ -80,8 +80,15 @@ def load_config(path, command):
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     if "seed" not in raw:
         raise ConfigError("config must set an integer seed")
-    if not isinstance(raw["seed"], int):
-        raise ConfigError("seed must be an integer")
+    for key, value in raw.items():
+        default = schema[key]
+        kind = int if default is None else type(default)
+        # bool is an int subclass but never a valid number; ints are valid floats
+        ok = (not isinstance(value, bool)
+              and isinstance(value, (int, float) if kind is float else kind))
+        if not ok:
+            raise ConfigError(f"{key} must be of type {kind.__name__}, "
+                              f"got {json.dumps(value)}")
     cfg = dict(schema)
     cfg.update(raw)
     return cfg

@@ -15,14 +15,15 @@ from scipy import ndimage
 
 from .gridfn import Axis, GridFunction
 from .geometry import (EuclideanBall, KineticCylinder, ParabolicCylinder,
-                       PhasePoint, StackedCylinder, dilate_5Q)
+                       PhasePoint, StackedCylinder, cylinder_mask, dilate_5Q,
+                       origin)
 
 __all__ = [
     "CylinderFamily", "IntervalFamily", "RasterMask", "regions_intersect",
     "vitali_select", "maximal_function", "maximal_inequality_constant",
     "interval_stack_ratio", "stacked_union_ratio", "ink_spots_check",
     "synthesize_ink_spots_instance", "lebesgue_differentiation_probe",
-    "membership_mask", "crawling_constant", "leak_constant",
+    "crawling_constant", "leak_constant",
 ]
 
 
@@ -131,48 +132,6 @@ def vitali_select(family):
 # Raster masks
 # ---------------------------------------------------------------------------
 
-def membership_mask(region, grids):
-    """Vectorized membership of a region on coordinate arrays.
-
-    grids: list of broadcastable coordinate arrays ordered (t, x..., v...)
-    for cylinders, (x...) for balls.
-    """
-    if isinstance(region, EuclideanBall):
-        d = region.d
-        s = sum((grids[k] - region.center[k]) ** 2 for k in range(d))
-        return s < region.radius ** 2
-    if isinstance(region, ParabolicCylinder):
-        d = region.d
-        t = grids[0]
-        R = region.radius
-        s = sum((grids[1 + k] - region.x0[k]) ** 2 for k in range(d))
-        return (t - region.t0 > -R * R) & (t - region.t0 <= 0.0) & (s < R * R)
-    if isinstance(region, KineticCylinder):
-        z0, R = region.center, region.radius
-        d = z0.d
-        t = grids[0]
-        dt = t - z0.t
-        sx = sum((grids[1 + k] - z0.x[k] - dt * z0.v[k]) ** 2 for k in range(d))
-        sv = sum((grids[1 + d + k] - z0.v[k]) ** 2 for k in range(d))
-        return (dt > -R * R) & (dt <= 0.0) & (sx < R ** 6) & (sv < R * R)
-    if isinstance(region, StackedCylinder):
-        base, m = region.base, region.m
-        if isinstance(base, ParabolicCylinder):
-            d = base.d
-            t = grids[0]
-            r = base.radius
-            s = sum((grids[1 + k] - base.x0[k]) ** 2 for k in range(d))
-            return (t - base.t0 > 0.0) & (t - base.t0 < m * r * r) & (s < r * r)
-        z0, r = base.center, base.radius
-        d = z0.d
-        dt = grids[0] - z0.t
-        sx = sum((grids[1 + k] - z0.x[k] - dt * z0.v[k]) ** 2 for k in range(d))
-        sv = sum((grids[1 + d + k] - z0.v[k]) ** 2 for k in range(d))
-        return ((dt > 0.0) & (dt < m * r * r)
-                & (sx < ((m + 2) * r ** 3) ** 2) & (sv < r * r))
-    raise TypeError("unsupported region type")
-
-
 class RasterMask:
     """Boolean lattice over a box; measure() = true-cell count x cell volume."""
 
@@ -199,13 +158,14 @@ class RasterMask:
         return vol
 
     def grids(self):
-        return np.meshgrid(*[a.centers() for a in self.axes], indexing="ij")
+        """Open-mesh cell centers, broadcastable to the lattice shape."""
+        return np.ix_(*[a.centers() for a in self.axes])
 
     def measure(self):
         return float(self.mask.sum()) * self.cell_volume
 
     def rasterize(self, region):
-        return membership_mask(region, self.grids())
+        return cylinder_mask(region, self.grids())
 
     def add(self, region):
         self.mask |= self.rasterize(region)
@@ -455,8 +415,7 @@ def _stack_cells(mask_obj, base, m):
     """(subbox slices, boolean stack membership on the subbox)."""
     sl = _stack_subbox(base, m, mask_obj.axes)
     coords = [a.centers()[s] for a, s in zip(mask_obj.axes, sl)]
-    grids = np.meshgrid(*coords, indexing="ij")
-    return sl, membership_mask(StackedCylinder(base, m), grids)
+    return sl, cylinder_mask(StackedCylinder(base, m), np.ix_(*coords))
 
 
 def _family_cylinder(geometry, anchor, r):
@@ -480,16 +439,10 @@ class InkSpotsReport:
     family: dict
 
 
-def _q1_region_mask(mask_obj, geometry, d):
-    grids = mask_obj.grids()
-    t = grids[0]
-    inside = (t > -1.0) & (t <= 0.0)
-    sx = sum(grids[1 + k] ** 2 for k in range(d))
-    inside &= sx < 1.0
-    if geometry == "kinetic":
-        sv = sum(grids[1 + d + k] ** 2 for k in range(d))
-        inside &= sv < 1.0
-    return inside
+def _q1(geometry, d):
+    if geometry == "parabolic":
+        return ParabolicCylinder(0.0, np.zeros(d), 1.0)
+    return KineticCylinder(origin(d), 1.0)
 
 
 def _anchor_admissible(mask_obj, geometry, d, r):
@@ -498,12 +451,10 @@ def _anchor_admissible(mask_obj, geometry, d, r):
     t = grids[0]
     ok = (t <= 0.0) & (t - r * r > -1.0)
     if geometry == "parabolic":
-        ok &= np.abs(grids[1]) + r < 1.0
-    else:
-        x, v = grids[1], grids[2]
-        ok &= np.abs(x) + r * r * np.abs(v) + r ** 3 < 1.0
-        ok &= np.abs(v) + r < 1.0
-    return ok
+        return ok & (np.abs(grids[1]) + r < 1.0)
+    x, v = grids[1], grids[2]
+    ok = ok & (np.abs(x) + r * r * np.abs(v) + r ** 3 < 1.0)
+    return ok & (np.abs(v) + r < 1.0)
 
 
 def _dyadic_radii(mask_obj, geometry, k_cap=6):
@@ -544,7 +495,7 @@ def ink_spots_check(E, F, geometry, m, r0, mu=0.5, k_cap=6, stack_check_cap=200,
     if E.axes != F.axes:
         raise ValueError("E and F must share a lattice")
     vol = E.cell_volume
-    q1 = _q1_region_mask(E, geometry, d)
+    q1 = E.rasterize(_q1(geometry, d))
     if np.any(E.mask & ~F.mask) or np.any(E.mask & ~q1):
         raise ValueError("precondition E subset of F cap Q1 violated")
     measure_E = E.measure()
@@ -624,7 +575,7 @@ def synthesize_ink_spots_instance(geometry, m, r0, rng, cells_per_unit=96,
             v0 = float(rng.uniform(-0.9 + r, 0.9 - r))
             x0 = float(rng.uniform(-0.8, 0.8))
             E.add(KineticCylinder(PhasePoint(t0, [x0], [v0]), r))
-    E.mask &= _q1_region_mask(E, geometry, d)
+    E.mask &= E.rasterize(_q1(geometry, d))
 
     F = RasterMask(E.axes, E.mask.copy())
     lattice = _lattice_mask(E.mask.shape, stride)
@@ -667,6 +618,7 @@ def lebesgue_differentiation_probe(g, samples=64, n_radii=4, rng=None):
     radii = [rmax / 2 ** k for k in range(n_radii)]
     vals = g.values
     devs = {r: [] for r in radii}
+    ones = {r: _cyl_sums(np.ones_like(vals), g.axes, r, geometry)[0] for r in radii}
     # |g - g(z)| averages need per-anchor recentering; do it per sample
     shape = vals.shape
     for _ in range(samples):
@@ -674,7 +626,7 @@ def lebesgue_differentiation_probe(g, samples=64, n_radii=4, rng=None):
         gz = vals[idx]
         for r in radii:
             s, cnt = _cyl_sums(np.abs(vals - gz), g.axes, r, geometry)
-            s1, _ = _cyl_sums(np.ones_like(vals), g.axes, r, geometry)
+            s1 = ones[r]
             if s1[idx] > 0:
                 devs[r].append(s[idx] / s1[idx])
     med = [float(np.median(devs[r])) for r in radii]

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfn import GridFunction
-from .geometry import PhasePoint
+from .geometry import (EuclideanBall, KineticCylinder, ParabolicCylinder,
+                       PhasePoint, cylinder_mask)
 
 __all__ = [
     "truncate", "caccioppoli_report", "iterate_lemma", "oscillation_profile",
@@ -33,14 +34,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def truncate(u, kappa, sign="plus"):
-    """(u - kappa)_+ or (u - kappa)_- as a new GridFunction."""
+    """(u - kappa)_+ or (u - kappa)_-: a new GridFunction for a GridFunction
+    u, a new array for an array u."""
+    vals = u.values if isinstance(u, GridFunction) else u
     if sign == "plus":
-        vals = np.maximum(u.values - kappa, 0.0)
+        out = np.maximum(vals - kappa, 0.0)
     elif sign == "minus":
-        vals = np.maximum(kappa - u.values, 0.0)
+        out = np.maximum(kappa - vals, 0.0)
     else:
         raise ValueError("sign must be 'plus' or 'minus'")
-    return u.copy_with(vals)
+    return u.copy_with(out) if isinstance(u, GridFunction) else out
 
 
 def _forward_grad_sq(vals, axes, axis_ids):
@@ -59,6 +62,45 @@ def _forward_grad_sq(vals, axes, axis_ids):
         g[tuple(sl_lo)] = (vals[tuple(sl_hi)] - vals[tuple(sl_lo)]) / axes[k].h
         out += g * g
     return out
+
+
+@dataclass
+class _Trajectory:
+    """Stored time slices of a Solution, read on the shifted time axis tau."""
+    history: list
+    times: list
+    tau: np.ndarray
+    axes: tuple       # open-mesh cell centers of the spatial lattice
+    vol: float        # spatial cell volume
+    dtau: float
+
+    def masks(self, Q):
+        """Cells inside Q, one boolean slice per stored time; Q is given in
+        (tau, x..., v...) coordinates.  Evaluated 8 slices per call, so a
+        block of masks takes no more memory than one float64 slice."""
+        shape = (-1,) + (1,) * len(self.axes)
+        for lo in range(0, len(self.tau), 8):
+            yield from cylinder_mask(Q, (self.tau[lo:lo + 8].reshape(shape), *self.axes))
+
+    def points(self):
+        """Cell-center points (..., ndim) of the spatial lattice."""
+        return np.stack(np.broadcast_arrays(*self.axes), axis=-1)
+
+
+def _trajectory(sol, scale=None):
+    """tau = t - t_final; with scale set, tau / (time span) * scale."""
+    hist, times = sol.info["history"], sol.info["times"]
+    tau = np.asarray(times) - times[-1]
+    if scale is not None:
+        tau = tau / (times[-1] - times[0]) * scale
+    dtau = tau[1] - tau[0] if len(tau) > 1 else 0.0
+    return _Trajectory(hist, times, tau, np.ix_(*sol.u.centers()),
+                       sol.u.cell_volume, dtau)
+
+
+def _kinetic_cylinder(center, r):
+    t0, x0, v0 = center
+    return KineticCylinder(PhasePoint(t0, [x0], [v0]), r)
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +130,6 @@ class EnergyReport:
     skipped: int
 
 
-def _ball_mask(grids, center, radius):
-    s = sum((g - c) ** 2 for g, c in zip(grids, center))
-    return s < radius * radius
-
-
 def caccioppoli_report(sol, P, samples, slack=0.2, sign="plus"):
     """Realized local-energy ratios on sampled (center, r, R, kappa).
 
@@ -113,9 +150,8 @@ def caccioppoli_report(sol, P, samples, slack=0.2, sign="plus"):
     if P.kind == "elliptic":
         bound = max(2.0 / lam, 16.0 * Lam / lam)
         axes = sol.u.axes
-        grids = np.meshgrid(*[a.centers() for a in axes], indexing="ij")
-        pts = np.stack(grids, axis=-1)
-        S = P.source(pts) if callable(P.source) else np.full(grids[0].shape, float(P.source))
+        grids = np.ix_(*sol.u.centers())
+        S = P.source_at(0.0, np.stack(sol.u.meshgrid(), axis=-1))
         vol = sol.u.cell_volume
         for (x0, r, R, kappa) in samples:
             if any(c - R < a.lo or c + R > a.hi for c, a in zip(np.atleast_1d(x0), axes)):
@@ -123,8 +159,8 @@ def caccioppoli_report(sol, P, samples, slack=0.2, sign="plus"):
                 continue
             w = truncate(sol.u, kappa, sign).values
             gsq = _forward_grad_sq(w, axes, range(len(axes)))
-            mr = _ball_mask(grids, np.atleast_1d(x0), r)
-            mR = _ball_mask(grids, np.atleast_1d(x0), R)
+            mr = cylinder_mask(EuclideanBall(x0, r), grids)
+            mR = cylinder_mask(EuclideanBall(x0, R), grids)
             lhs = float(gsq[mr].sum()) * vol
             e = float((w[mR] ** 2).sum()) * vol / (R - r) ** 2
             s = float((np.abs(S[mR]) * w[mR]).sum()) * vol
@@ -133,44 +169,40 @@ def caccioppoli_report(sol, P, samples, slack=0.2, sign="plus"):
                                         sign, lhs, e, s, ratio))
     elif P.kind == "parabolic":
         bound = 16.0 * Lam
-        hist, times = sol.info["history"], sol.info["times"]
+        tr = _trajectory(sol)
         axes = sol.u.axes
-        grids = np.meshgrid(*[a.centers() for a in axes], indexing="ij")
-        tau = np.asarray(times) - times[-1]
-        vol = sol.u.cell_volume
-        dtau = tau[1] - tau[0]
+        pts = tr.points()
         for (t0, x0, r, R, kappa) in samples:
-            ok_t = (tau > t0 - r * r) & (tau <= t0)
+            x0 = np.atleast_1d(x0)
+            # the slices Q_r(t0, x0) meets on its own axis x = x0
+            ok_t = cylinder_mask(ParabolicCylinder(t0, x0, r), (tr.tau, *x0))
             if ok_t.sum() < 2 or any(c - R < a.lo or c + R > a.hi
-                                     for c, a in zip(np.atleast_1d(x0), axes)):
+                                     for c, a in zip(x0, axes)):
                 skipped += 1
                 continue
             ids = np.where(ok_t)[0]
-            mr = _ball_mask(grids, np.atleast_1d(x0), r)
-            mR = _ball_mask(grids, np.atleast_1d(x0), R)
-            w = [np.maximum((hist[i] - kappa) if sign == "plus" else (kappa - hist[i]), 0.0)
-                 for i in ids]
-            end = float((w[-1][mr] ** 2).sum()) * vol
-            start = float((w[0][mr] ** 2).sum()) * vol
+            mr = cylinder_mask(EuclideanBall(x0, r), tr.axes)
+            mR = cylinder_mask(EuclideanBall(x0, R), tr.axes)
+            w = [truncate(tr.history[i], kappa, sign) for i in ids]
+            end = float((w[-1][mr] ** 2).sum()) * tr.vol
+            start = float((w[0][mr] ** 2).sum()) * tr.vol
             grad = sum(float(_forward_grad_sq(wi, axes, range(len(axes)))[mr].sum())
-                       for wi in w) * vol * dtau * lam
-            mass = sum(float((wi[mR] ** 2).sum()) for wi in w) * vol * dtau / (R - r) ** 2
-            src = sum(float((np.abs(_src_slice(P, times[i], grids)) * wi)[mR].sum())
-                      for i, wi in zip(ids, w)) * vol * dtau
+                       for wi in w) * tr.vol * tr.dtau * lam
+            mass = sum(float((wi[mR] ** 2).sum()) for wi in w) * tr.vol * tr.dtau / (R - r) ** 2
+            src = sum(float((np.abs(P.source_at(tr.times[i], pts)) * wi)[mR].sum())
+                      for i, wi in zip(ids, w)) * tr.vol * tr.dtau
             lhs = max(end + grad - start - src, 0.0)
             ratio = lhs / mass if mass > 0 else 0.0
-            records.append(EnergyRecord((t0,) + tuple(np.atleast_1d(x0)), r, R,
+            records.append(EnergyRecord((t0,) + tuple(x0), r, R,
                                         kappa, sign, lhs, mass, src, ratio))
     elif P.kind == "kinetic-fp":
-        hist, times = sol.info["history"], sol.info["times"]
+        tr = _trajectory(sol)
         x_axis, v_axis = sol.u.axes
-        X, V = np.meshgrid(x_axis.centers(), v_axis.centers(), indexing="ij")
-        tau = np.asarray(times) - times[-1]
-        vol = x_axis.h * v_axis.h
-        dtau = tau[1] - tau[0]
+        X, V = tr.axes
+        pts = tr.points()
         sample_bounds = []
         for (t0, x0, v0, rx, Rx, rv, Rv, kappa) in samples:
-            ok_t = (tau > t0 - rv * rv) & (tau <= t0)
+            ok_t = (tr.tau > t0 - rv * rv) & (tr.tau <= t0)
             if ok_t.sum() < 2 or abs(x0) + Rx > x_axis.hi or abs(v0) + Rv > v_axis.hi:
                 skipped += 1
                 continue
@@ -179,16 +211,14 @@ def caccioppoli_report(sol, P, samples, slack=0.2, sign="plus"):
             ids = np.where(ok_t)[0]
             m_int = (np.abs(X - x0) < rx) & (np.abs(V - v0) < rv)
             m_ext = (np.abs(X - x0) < Rx) & (np.abs(V - v0) < Rv)
-            w = [np.maximum((hist[i] - kappa) if sign == "plus" else (kappa - hist[i]), 0.0)
-                 for i in ids]
-            end = float((w[-1][m_int] ** 2).sum()) * vol
-            start = float((w[0][m_int] ** 2).sum()) * vol
+            w = [truncate(tr.history[i], kappa, sign) for i in ids]
+            end = float((w[-1][m_int] ** 2).sum()) * tr.vol
+            start = float((w[0][m_int] ** 2).sum()) * tr.vol
             grad = sum(float(_forward_grad_sq(wi, sol.u.axes, [1])[m_int].sum())
-                       for wi in w) * vol * dtau * lam / 4.0
-            mass = sum(float((wi[m_ext] ** 2).sum()) for wi in w) * vol * dtau
-            grids2 = (X, V)
-            src = 2.0 * sum(float((np.abs(_src_slice(P, times[i], grids2)) * wi)[m_ext].sum())
-                            for i, wi in zip(ids, w)) * vol * dtau
+                       for wi in w) * tr.vol * tr.dtau * lam / 4.0
+            mass = sum(float((wi[m_ext] ** 2).sum()) for wi in w) * tr.vol * tr.dtau
+            src = 2.0 * sum(float((np.abs(P.source_at(tr.times[i], pts)) * wi)[m_ext].sum())
+                            for i, wi in zip(ids, w)) * tr.vol * tr.dtau
             lhs = max(end + grad - start - src, 0.0)
             ratio = lhs / mass if mass > 0 else 0.0
             records.append(EnergyRecord((t0, x0, v0), rx, Rx, kappa, sign,
@@ -204,16 +234,6 @@ def caccioppoli_report(sol, P, samples, slack=0.2, sign="plus"):
         return EnergyReport(records, worst, bound, slack, passed, skipped)
     passed = worst <= bound * (1.0 + slack)
     return EnergyReport(records, worst, bound, slack, passed, skipped)
-
-
-def _src_slice(P, t, grids):
-    if callable(P.source):
-        pts = np.stack(grids, axis=-1)
-        try:
-            return np.asarray(P.source(t, pts), dtype=float)
-        except TypeError:
-            return np.asarray(P.source(pts), dtype=float)
-    return np.full(grids[0].shape, float(P.source))
 
 
 # ---------------------------------------------------------------------------
@@ -275,32 +295,6 @@ class OscillationProfile:
     dropped: list
 
 
-def _region_cells(u, center, r, geometry, pad=0.0):
-    """Cylinder membership mask; pad inflates each bound by pad cell widths.
-
-    The half-cell pad (cells intersecting the region rather than centered in
-    it) cancels the first-order bias that grid oscillation carries at small
-    radii, which would otherwise contaminate the fitted decay exponent.
-    """
-    grids = u.meshgrid()
-    hs = [a.h for a in u.axes]
-    if geometry == "elliptic":
-        return _ball_mask(grids, np.atleast_1d(center), r + pad * max(hs))
-    if geometry == "parabolic":
-        t0 = center[0]
-        x0 = np.atleast_1d(center[1])
-        m = (grids[0] - t0 > -r * r - pad * hs[0]) & (grids[0] - t0 <= 0.0)
-        return m & _ball_mask(grids[1:], x0, r + pad * max(hs[1:]))
-    if geometry == "kinetic":
-        t0, x0, v0 = center[0], center[1], center[2]
-        dt = grids[0] - t0
-        m = (dt > -r * r - pad * hs[0]) & (dt <= 0.0)
-        m &= np.abs(grids[1] - x0 - dt * v0) < r ** 3 + pad * hs[1]
-        m &= np.abs(grids[2] - v0) < r + pad * hs[2]
-        return m
-    raise ValueError(f"unknown geometry {geometry!r}")
-
-
 def oscillation_profile(u, center, k_max=6, geometry="elliptic", r0=None):
     """Grid oscillation of u over nested dyadic cylinders around a center.
 
@@ -314,17 +308,32 @@ def oscillation_profile(u, center, k_max=6, geometry="elliptic", r0=None):
                  for c, a in zip(np.atleast_1d(center).ravel(), u.axes)]
         r0 = max(min(spans), 1e-9)
     hs = [a.h for a in u.axes]
+    # a half-cell pad (cells meeting the region rather than centered in it)
+    # cancels the first-order bias that grid oscillation carries at small
+    # radii, which would otherwise contaminate the fitted decay exponent
+    if geometry == "elliptic":
+        pad = (0.0, 0.5 * max(hs), 0.0)
+    elif geometry == "parabolic":
+        pad = (0.5 * hs[0], 0.5 * max(hs[1:]), 0.0)
+    elif geometry == "kinetic":
+        pad = (0.5 * hs[0], 0.5 * hs[1], 0.5 * hs[2])
+    else:
+        raise ValueError(f"unknown geometry {geometry!r}")
+    grids = np.ix_(*u.centers())
     radii, oscs, dropped = [], [], []
     for k in range(k_max + 1):
         r = r0 * 2.0 ** (-k)
         if geometry == "elliptic":
             resolved = r >= 2.0 * max(hs)
+            Q = EuclideanBall(center, r)
         elif geometry == "parabolic":
             resolved = r * r >= 2.0 * hs[0] and r >= 2.0 * max(hs[1:])
+            Q = ParabolicCylinder(center[0], center[1], r)
         else:
             resolved = (r * r >= 2.0 * hs[0] and r ** 3 >= 2.0 * hs[1]
                         and r >= 2.0 * hs[2])
-        m = _region_cells(u, center, r, geometry, pad=0.5)
+            Q = _kinetic_cylinder(center, r)
+        m = cylinder_mask(Q, grids, pad)
         if not resolved or m.sum() < 8:
             dropped.append(r)
             continue
@@ -403,18 +412,6 @@ class HarnackReport:
     p: float
 
 
-def _kin_cyl_mask(tau, X, V, center, r):
-    t0, x0, v0 = center
-    out = []
-    for i, t in enumerate(tau):
-        dt = t - t0
-        if not (-r * r < dt <= 0.0):
-            out.append(None)
-            continue
-        out.append((np.abs(X - x0 - dt * v0) < r ** 3) & (np.abs(V - v0) < r))
-    return out
-
-
 def harnack_quotient(sol, omega=0.25, p=None, source_norm=0.0):
     """sup over the past cylinder vs inf over the future cylinder.
 
@@ -423,26 +420,24 @@ def harnack_quotient(sol, omega=0.25, p=None, source_norm=0.0):
     Q_omega, both scaled by the trajectory's time span.  With p set, the
     sup is replaced by the L^p quasi-norm over the past cylinder.
     """
-    hist, times = sol.info["history"], sol.info["times"]
-    span = times[-1] - times[0]
-    tau = (np.asarray(times) - times[-1]) / span
-    x_axis, v_axis = sol.u.axes
-    X, V = np.meshgrid(x_axis.centers(), v_axis.centers(), indexing="ij")
-    if min(h.min() for h in hist) <= 0:
+    tr = _trajectory(sol, scale=1.0)
+    span = tr.times[-1] - tr.times[0]
+    if min(h.min() for h in tr.history) <= 0:
         raise ValueError("harnack quotient needs a positive solution")
     # cylinders live in the scaled time variable; x, v stay in grid units
-    past = _kin_cyl_mask(tau, X, V, (-1.0 + omega ** 2, 0.0, 0.0), omega)
-    future = _kin_cyl_mask(tau, X, V, (0.0, 0.0, 0.0), omega)
+    past = _kinetic_cylinder((-1.0 + omega ** 2, 0.0, 0.0), omega)
+    future = _kinetic_cylinder((0.0, 0.0, 0.0), omega)
     sup_past, inf_future = -math.inf, math.inf
     acc, cells = 0.0, 0
-    for f, mp, mf in zip(hist, past, future):
-        if mp is not None and mp.any():
-            sup_past = max(sup_past, float(f[mp].max()))
+    for f, m in zip(tr.history, tr.masks(past)):
+        if m.any():
+            sup_past = max(sup_past, float(f[m].max()))
             if p is not None:
-                acc += float((f[mp] ** p).sum())
-                cells += int(mp.sum())
-        if mf is not None and mf.any():
-            inf_future = min(inf_future, float(f[mf].min()))
+                acc += float((f[m] ** p).sum())
+                cells += int(m.sum())
+    for f, m in zip(tr.history, tr.masks(future)):
+        if m.any():
+            inf_future = min(inf_future, float(f[m].min()))
     if not np.isfinite(sup_past) or not np.isfinite(inf_future):
         raise ValueError("cylinders not resolved by the stored trajectory")
     if p is not None and cells:
@@ -463,25 +458,19 @@ def expansion_experiment(solutions, eta0=0.5, source_eps=1e-2):
     instances satisfying the hypothesis.
     """
     table = []
+    pos = _kinetic_cylinder((-1.0, 0.0, 0.0), eta0)
+    q1 = _kinetic_cylinder((0.0, 0.0, 0.0), 1.0)
     for sol in solutions:
-        hist, times = sol.info["history"], sol.info["times"]
-        span = times[-1] - times[0]
         # scale the stored trajectory onto (-1 - eta0^2, 0] so the positivity
         # cylinder anchored at -1 sits fully inside the data
-        tau = (np.asarray(times) - times[-1]) / span * (1.0 + eta0 ** 2)
-        x_axis, v_axis = sol.u.axes
-        X, V = np.meshgrid(x_axis.centers(), v_axis.centers(), indexing="ij")
-        pos = _kin_cyl_mask(tau, X, V, (-1.0, 0.0, 0.0), eta0)
+        tr = _trajectory(sol, scale=1.0 + eta0 ** 2)
         hit = tot = 0
-        for f, m in zip(hist, pos):
-            if m is None:
-                continue
+        for f, m in zip(tr.history, tr.masks(pos)):
             hit += int((f[m] >= 1.0).sum())
             tot += int(m.sum())
         hypothesis = tot > 0 and hit >= 0.5 * tot
-        q1 = _kin_cyl_mask(tau, X, V, (0.0, 0.0, 0.0), 1.0)
-        mins = [float(f[m].min()) for f, m in zip(hist, q1)
-                if m is not None and m.any()]
+        mins = [float(f[m].min()) for f, m in zip(tr.history, tr.masks(q1))
+                if m.any()]
         table.append({"hypothesis": hypothesis,
                       "pos_fraction": hit / tot if tot else 0.0,
                       "min_Q1": min(mins) if mins else math.nan})
@@ -507,8 +496,8 @@ def intermediate_value_stats(u, geometry="elliptic", theta=0.25, eta=0.5,
     L2 norm of the v-gradient.
     """
     if geometry == "elliptic":
-        grids = u.meshgrid()
-        m1 = _ball_mask(grids, np.zeros(len(u.axes)), 1.0)
+        m1 = cylinder_mask(EuclideanBall(np.zeros(len(u.axes)), 1.0),
+                           np.ix_(*u.centers()))
         vol = u.cell_volume
         vals = u.values
         low = float(((vals <= 0.5) & m1).sum()) * vol
@@ -526,31 +515,24 @@ def intermediate_value_stats(u, geometry="elliptic", theta=0.25, eta=0.5,
             out["within_C_IVL"] = measured_C <= out["C_IVL"]
         return out
     if geometry == "kinetic":
-        sol = u
-        hist, times = sol.info["history"], sol.info["times"]
-        span = times[-1] - times[0]
         # trajectory scaled onto (-1 - 2 eta^2, 0] so the early cylinder
         # Q_eta(-1 - eta^2, 0, 0) lies inside the data
-        tau = (np.asarray(times) - times[-1]) / span * (1.0 + 2.0 * eta ** 2)
-        x_axis, v_axis = sol.u.axes
-        X, V = np.meshgrid(x_axis.centers(), v_axis.centers(), indexing="ij")
-        vol = x_axis.h * v_axis.h * span * (tau[1] - tau[0]) if len(tau) > 1 else 0.0
-        qm = _kin_cyl_mask(tau, X, V, (-1.0 - eta ** 2, 0.0, 0.0), eta)
-        qp = _kin_cyl_mask(tau, X, V, (0.0, 0.0, 0.0), 1.0)
+        tr = _trajectory(u, scale=1.0 + 2.0 * eta ** 2)
+        vol = tr.vol * (tr.times[-1] - tr.times[0]) * tr.dtau
+        qm = _kinetic_cylinder((-1.0 - eta ** 2, 0.0, 0.0), eta)
+        qp = _kinetic_cylinder((0.0, 0.0, 0.0), 1.0)
         low = high = mid = 0.0
         qm_cells = qp_cells = 0
         gsq_acc = 0.0
-        for f, mm, mp in zip(hist, qm, qp):
-            if mm is not None:
-                high += int((f[mm] >= 1.0).sum())
-                qm_cells += int(mm.sum())
-            if mp is not None:
-                low += int((f[mp] <= theta).sum())
-                qp_cells += int(mp.sum())
+        for f, mm, mp in zip(tr.history, tr.masks(qm), tr.masks(qp)):
+            high += int((f[mm] >= 1.0).sum())
+            qm_cells += int(mm.sum())
+            low += int((f[mp] <= theta).sum())
+            qp_cells += int(mp.sum())
             mid += int(((f > theta) & (f < 1.0)).sum())
-            dv = np.diff(f, axis=1) / v_axis.h
+            dv = np.diff(f, axis=1) / u.u.axes[1].h
             gsq_acc += float((dv * dv).sum())
-        total = len(hist) * X.size
+        total = len(tr.history) * u.u.values.size
         return {"high_frac_Qminus": high / qm_cells if qm_cells else math.nan,
                 "low_frac_Qplus": low / qp_cells if qp_cells else math.nan,
                 "mid_frac_ext": mid / total,
@@ -575,8 +557,8 @@ def poincare_wirtinger_estimate(family, q=2):
     ratios = []
     skipped = 0
     for u in family:
-        grids = u.meshgrid()
-        m = _ball_mask(grids, np.zeros(len(u.axes)), 1.0)
+        m = cylinder_mask(EuclideanBall(np.zeros(len(u.axes)), 1.0),
+                          np.ix_(*u.centers()))
         vol = u.cell_volume
         vals = u.values
         mean = float(vals[m].mean())
@@ -610,25 +592,20 @@ def dg_membership(sol, P, samples, p_c=None, slack=0.0, sign="plus"):
             p_c = 2.0 + 1.0 / (2 * d)
         if not (2.0 < p_c < 2.0 + 1.0 / d):
             raise ValueError("kinetic p_c must lie in (2, 2 + 1/d)")
-        hist, times = sol.info["history"], sol.info["times"]
-        x_axis, v_axis = sol.u.axes
-        X, V = np.meshgrid(x_axis.centers(), v_axis.centers(), indexing="ij")
-        tau = np.asarray(times) - times[-1]
-        vol = x_axis.h * v_axis.h
-        dtau = tau[1] - tau[0]
+        tr = _trajectory(sol)
+        pts = tr.points()
         for (z0, r, R, kappa) in samples:
-            mr = _kin_cyl_mask(tau, X, V, z0, r)
-            mR = _kin_cyl_mask(tau, X, V, z0, R)
+            Qr, QR = _kinetic_cylinder(z0, r), _kinetic_cylinder(z0, R)
             lhs_acc = rhs_acc = src_acc = 0.0
-            for i, f in enumerate(hist):
-                w = np.maximum(f - kappa, 0.0) if sign == "plus" else np.maximum(kappa - f, 0.0)
-                if mr[i] is not None:
-                    lhs_acc += float((w[mr[i]] ** p_c).sum()) * vol * dtau
-                if mR[i] is not None:
-                    rhs_acc += float((w[mR[i]] ** 2).sum()) * vol * dtau
-                    Sv = np.abs(_src_slice(P, times[i], (X, V)))
+            for i, (f, mr, mR) in enumerate(zip(tr.history, tr.masks(Qr), tr.masks(QR))):
+                w = truncate(f, kappa, sign)
+                if mr.any():
+                    lhs_acc += float((w[mr] ** p_c).sum()) * tr.vol * tr.dtau
+                if mR.any():
+                    rhs_acc += float((w[mR] ** 2).sum()) * tr.vol * tr.dtau
+                    Sv = np.abs(P.source_at(tr.times[i], pts))
                     ind = f >= kappa if sign == "plus" else f <= kappa
-                    src_acc += float(((Sv ** 2) * ind)[mR[i]].sum()) * vol * dtau
+                    src_acc += float(((Sv ** 2) * ind)[mR].sum()) * tr.vol * tr.dtau
             lhs = lhs_acc ** (2.0 / p_c)
             rhs = rhs_acc / (R - r) ** 4 + src_acc / (R - r) ** 2
             const = lhs / rhs if rhs > 0 else 0.0
@@ -638,28 +615,22 @@ def dg_membership(sol, P, samples, p_c=None, slack=0.0, sign="plus"):
         d = len(sol.u.axes)
         if p_c is None:
             p_c = 2.0 + 4.0 / d
-        hist, times = sol.info["history"], sol.info["times"]
+        tr = _trajectory(sol)
         axes = sol.u.axes
-        grids = np.meshgrid(*[a.centers() for a in axes], indexing="ij")
-        tau = np.asarray(times) - times[-1]
-        vol = sol.u.cell_volume
-        dtau = tau[1] - tau[0]
+        pts = tr.points()
         for (t0, x0, r, R, kappa) in samples:
-            in_r = (tau > t0 - r * r) & (tau <= t0)
-            in_R = (tau > t0 - R * R) & (tau <= t0)
-            mr = _ball_mask(grids, np.atleast_1d(x0), r)
-            mR = _ball_mask(grids, np.atleast_1d(x0), R)
+            Qr, QR = ParabolicCylinder(t0, x0, r), ParabolicCylinder(t0, x0, R)
             sup_slice = 0.0
             grad = rhs_mass = src = 0.0
-            for i, f in enumerate(hist):
-                w = np.maximum(f - kappa, 0.0) if sign == "plus" else np.maximum(kappa - f, 0.0)
-                if in_r[i]:
-                    sup_slice = max(sup_slice, float((w[mr] ** 2).sum()) * vol)
-                    grad += float(_forward_grad_sq(w, axes, range(d))[mr].sum()) * vol * dtau
-                if in_R[i]:
-                    rhs_mass += float((w[mR] ** 2).sum()) * vol * dtau
-                    Sv = np.abs(_src_slice(P, times[i], grids))
-                    src += float((Sv * w)[mR].sum()) * vol * dtau
+            for i, (f, mr, mR) in enumerate(zip(tr.history, tr.masks(Qr), tr.masks(QR))):
+                w = truncate(f, kappa, sign)
+                if mr.any():
+                    sup_slice = max(sup_slice, float((w[mr] ** 2).sum()) * tr.vol)
+                    grad += float(_forward_grad_sq(w, axes, range(d))[mr].sum()) * tr.vol * tr.dtau
+                if mR.any():
+                    rhs_mass += float((w[mR] ** 2).sum()) * tr.vol * tr.dtau
+                    Sv = np.abs(P.source_at(tr.times[i], pts))
+                    src += float((Sv * w)[mR].sum()) * tr.vol * tr.dtau
             lhs = sup_slice + grad
             rhs = ((R - r) ** -2 + r ** -2) * rhs_mass + src
             const = lhs / rhs if rhs > 0 else 0.0
@@ -680,29 +651,26 @@ def kdg_minus_gradient_check(sol, P, samples, sign="minus"):
     with e = min((tau_+ - tau_-)^1/2, Rv^-1/2 (Rx - rx)^1/2, Rv - rv),
     source term added with the active-set indicator.
     """
-    hist, times = sol.info["history"], sol.info["times"]
-    x_axis, v_axis = sol.u.axes
-    X, V = np.meshgrid(x_axis.centers(), v_axis.centers(), indexing="ij")
-    tau = np.asarray(times) - times[-1]
-    vol = x_axis.h * v_axis.h
-    dtau = tau[1] - tau[0]
+    tr = _trajectory(sol)
+    X, V = tr.axes
+    pts = tr.points()
     records = []
     for (T, tm, tp, rx, Rx, rv, Rv, kappa) in samples:
         e = min(math.sqrt(tp - tm), math.sqrt((Rx - rx) / Rv), Rv - rv)
-        in_int = (tau > T - tm) & (tau <= T)
-        in_ext = (tau > T - tp) & (tau <= T)
+        in_int = (tr.tau > T - tm) & (tr.tau <= T)
+        in_ext = (tr.tau > T - tp) & (tr.tau <= T)
         m_int = (np.abs(X) < rx) & (np.abs(V) < rv)
         m_ext = (np.abs(X) < Rx) & (np.abs(V) < Rv)
         grad = mass = src = 0.0
-        for i, f in enumerate(hist):
-            w = np.maximum(kappa - f, 0.0) if sign == "minus" else np.maximum(f - kappa, 0.0)
+        for i, f in enumerate(tr.history):
+            w = truncate(f, kappa, sign)
             if in_int[i]:
-                grad += float(_forward_grad_sq(w, sol.u.axes, [1])[m_int].sum()) * vol * dtau
+                grad += float(_forward_grad_sq(w, sol.u.axes, [1])[m_int].sum()) * tr.vol * tr.dtau
             if in_ext[i]:
-                mass += float((w[m_ext] ** 2).sum()) * vol * dtau
-                Sv = np.abs(_src_slice(P, times[i], (X, V)))
+                mass += float((w[m_ext] ** 2).sum()) * tr.vol * tr.dtau
+                Sv = np.abs(P.source_at(tr.times[i], pts))
                 ind = f <= kappa if sign == "minus" else f >= kappa
-                src += float(((Sv ** 2) * ind)[m_ext].sum()) * vol * dtau
+                src += float(((Sv ** 2) * ind)[m_ext].sum()) * tr.vol * tr.dtau
         lhs = math.sqrt(grad)
         rhs = math.sqrt(mass) / e + math.sqrt(src)
         const = lhs / rhs if rhs > 0 else 0.0

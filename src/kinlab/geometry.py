@@ -6,8 +6,10 @@ Phase points z = (t, x, v) live in R^{1+2d} with the (non-commutative) group law
 
 inverse z^{-1} = (-t, -x + t*v, -v), and the anisotropic dilation
 sigma_R(z) = (R^2 t, R^3 x, R v).  Cylinders are anchored at their top time.
-All membership predicates use exact comparisons (half-open in time, open in
-x and v); covering routines depend on these boundary semantics.
+Membership of balls, cylinders and stacks is decided in one place,
+cylinder_mask, by exact comparisons (half-open in time, open in x and v,
+stacks open at both time ends); covering routines depend on these boundary
+semantics.
 """
 
 import math
@@ -19,7 +21,8 @@ __all__ = [
     "PhasePoint", "EuclideanBall", "KineticCylinder", "ParabolicCylinder",
     "StackedCylinder", "origin", "compose", "inverse", "scale", "sup_norm",
     "kinetic_distance", "kinetic_distance_batch", "kinetic_distance_grid",
-    "cylinder_contains", "dilate_5Q", "stack", "DistanceConvergenceError",
+    "cylinder_mask", "cylinder_contains", "dilate_5Q", "stack",
+    "DistanceConvergenceError",
 ]
 
 
@@ -181,36 +184,73 @@ def stack(Q, m):
     return StackedCylinder(Q, m)
 
 
-def cylinder_contains(Q, z):
-    """Exact membership for balls, parabolic/kinetic cylinders and stacks."""
+def _sq_dist(coords, center, shift=None):
+    """Sum over k of (coords[k] - center[k] - shift[k])^2, in that order."""
+    if shift is None:
+        return sum((c - c0) ** 2 for c, c0 in zip(coords, center))
+    return sum((c - c0 - s) ** 2 for c, c0, s in zip(coords, center, shift))
+
+
+def cylinder_mask(Q, grids, pad=(0.0, 0.0, 0.0)):
+    """Vectorized membership of a ball, cylinder or stack on coordinate arrays.
+
+    grids are broadcastable coordinate arrays ordered (t, x..., v...), or
+    (x...) for a ball; open meshes (np.ix_ of the axis centers) broadcast to
+    the full lattice.  Time is half-open for a cylinder, (t0 - R^2, t0], and
+    open at both ends for a stack; x and v are open balls.  pad = (time
+    depth, x radius, v radius) widens the region by those absolute amounts;
+    a ball reads only the x entry.
+    """
+    pt, px, pv = pad
     if isinstance(Q, EuclideanBall):
-        y = _as_vec(z, Q.d) if not isinstance(z, PhasePoint) else z.x
-        return bool(np.linalg.norm(y - Q.center) < Q.radius)
-    if isinstance(Q, ParabolicCylinder):
-        t, y = (z.t, z.x) if isinstance(z, PhasePoint) else (float(z[0]), _as_vec(z[1], Q.d))
-        R = Q.radius
-        return bool(-R * R < t - Q.t0 <= 0.0 and np.linalg.norm(y - Q.x0) < R)
-    if isinstance(Q, KineticCylinder):
-        z0, R = Q.center, Q.radius
-        if z.d != z0.d:
+        w = Q.radius + px
+        return _sq_dist(grids, Q.center) < w * w
+    m = Q.m if isinstance(Q, StackedCylinder) else None
+    base = Q.base if m is not None else Q
+    if isinstance(base, KineticCylinder):
+        t0, x0, v0 = base.center.t, base.center.x, base.center.v
+    elif isinstance(base, ParabolicCylinder):
+        t0, x0, v0 = base.t0, base.x0, None
+    else:
+        raise TypeError(f"unsupported region type {type(base).__name__}")
+    r, d = base.radius, len(x0)
+    dt = grids[0] - t0
+    if m is None:
+        inside = (dt > -r * r - pt) & (dt <= 0.0)
+        wx = (r if v0 is None else r ** 3) + px
+    else:
+        inside = (dt > 0.0) & (dt < m * r * r + pt)
+        wx = (r if v0 is None else (m + 2) * r ** 3) + px
+    xs = grids[1:1 + d]
+    if v0 is None:
+        return inside & (_sq_dist(xs, x0) < wx * wx)
+    wv = r + pv
+    inside = inside & (_sq_dist(xs, x0, [dt * c for c in v0]) < wx * wx)
+    return inside & (_sq_dist(grids[1 + d:1 + 2 * d], v0) < wv * wv)
+
+
+def cylinder_contains(Q, z):
+    """Exact membership of one point; the scalar form of cylinder_mask.
+
+    z is a PhasePoint, or for a ball a vector and for a parabolic region a
+    pair (t, x).
+    """
+    if isinstance(Q, EuclideanBall):
+        coords = z.x if isinstance(z, PhasePoint) else _as_vec(z, Q.d)
+    elif isinstance(Q, (ParabolicCylinder, KineticCylinder, StackedCylinder)):
+        base = Q.base if isinstance(Q, StackedCylinder) else Q
+        if isinstance(z, PhasePoint):
+            t, y, v = z.t, z.x, z.v
+        elif isinstance(base, ParabolicCylinder):
+            t, y, v = float(z[0]), _as_vec(z[1], base.d), ()
+        else:
+            raise TypeError("a kinetic region needs a PhasePoint")
+        if len(y) != base.d:
             raise ValueError("dimension mismatch")
-        dt = z.t - z0.t
-        return bool(-R * R < dt <= 0.0
-                    and np.linalg.norm(z.x - z0.x - dt * z0.v) < R ** 3
-                    and np.linalg.norm(z.v - z0.v) < R)
-    if isinstance(Q, StackedCylinder):
-        base, m = Q.base, Q.m
-        if isinstance(base, ParabolicCylinder):
-            t, y = (z.t, z.x) if isinstance(z, PhasePoint) else (float(z[0]), _as_vec(z[1], base.d))
-            r = base.radius
-            return bool(0.0 < t - base.t0 < m * r * r
-                        and np.linalg.norm(y - base.x0) < r)
-        z0, r = base.center, base.radius
-        dt = z.t - z0.t
-        return bool(0.0 < dt < m * r * r
-                    and np.linalg.norm(z.x - z0.x - dt * z0.v) < (m + 2) * r ** 3
-                    and np.linalg.norm(z.v - z0.v) < r)
-    raise TypeError(f"unsupported region type {type(Q).__name__}")
+        coords = (t, *y) if isinstance(base, ParabolicCylinder) else (t, *y, *v)
+    else:
+        raise TypeError(f"unsupported region type {type(Q).__name__}")
+    return bool(cylinder_mask(Q, coords))
 
 
 def dilate_5Q(Q):

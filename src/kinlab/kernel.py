@@ -432,6 +432,14 @@ def _psi_log_d1(u):
     return -2.0 * u / (1.0 - u * u) ** 2
 
 
+def _psi_d1(u):
+    # psi' = psi (log psi)', evaluated on the support only (no 0 * inf at |u| = 1)
+    out = np.zeros_like(u)
+    m = np.abs(u) < 1.0
+    out[m] = _psi(u[m]) * _psi_log_d1(u[m])
+    return out
+
+
 def _psi_log_d2(u):
     # (psi'/psi)'(u) = (-2 - 6u^2)/(1-u^2)^3
     return (-2.0 - 6.0 * u * u) / (1.0 - u * u) ** 3

@@ -18,12 +18,14 @@ x <- x - v dt with linear interpolation (periodic in x), followed by an
 implicit diffusion-drift solve in v, batched over x by a Thomas sweep.
 """
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gridfn import Axis, GridFunction
+from .kernel import _psi, _psi_d1
 
 __all__ = [
     "CoefficientField", "Problem", "Solution", "SolverError",
@@ -164,7 +166,7 @@ class Problem:
     drift: object = None           # kinetic drift B(points) -> (..., d)
     t_final: float = 0.0
     nt: int = 0
-    periodic: bool = False         # parabolic: torus in x
+    periodic: bool = False         # torus in x; kinetic-fp requires True
     v_boundary: str = "dirichlet0"
 
     def __post_init__(self):
@@ -172,6 +174,35 @@ class Problem:
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if self.kind == "kinetic-fp" and self.v_boundary not in ("dirichlet0",):
             raise ValueError("kinetic v boundary must be dirichlet0")
+        self._source_takes_t = callable(self.source) and _requires_two_args(self.source)
+
+    @property
+    def source_free(self):
+        """True when the source is identically zero."""
+        S = self.source
+        if callable(S) or isinstance(S, GridFunction):
+            return False
+        return S is None or not np.any(np.asarray(S, dtype=float))
+
+    def source_at(self, t, pts):
+        """Source values at time t on points (..., ndim).
+
+        A callable source is S(t, pts) when it requires two positional
+        arguments and S(pts) otherwise, decided once from its signature.
+        """
+        if self._source_takes_t:
+            return np.asarray(self.source(t, pts), dtype=float)
+        return _eval(self.source, pts)
+
+
+def _requires_two_args(fn):
+    try:
+        params = inspect.signature(fn).parameters.values()
+    except (TypeError, ValueError):      # no signature to read: S(pts)
+        return False
+    positional = (inspect.Parameter.POSITIONAL_ONLY,
+                  inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    return sum(p.kind in positional and p.default is p.empty for p in params) >= 2
 
 
 @dataclass
@@ -358,12 +389,11 @@ def solve_elliptic(P, tol=1e-10):
         raise ValueError("expected an elliptic problem")
     op = _DiffusionOperator(P.axes, P.coefficients, P.boundary, P.periodic)
     pts = _cell_points(P.axes)
-    rhs = _eval(P.source, pts) + op.boundary_rhs()
+    rhs = P.source_at(0.0, pts) + op.boundary_rhs()
     u, history = _pcg(op.apply, rhs, op.diagonal(), tol=tol)
     info = {"iterations": len(history), "residual_history": history,
             "tol": tol}
-    source_free = (not callable(P.source)) and float(P.source) == 0.0
-    if source_free and not P.periodic:
+    if P.source_free and not P.periodic:
         blo, bhi = op.boundary_extremes()
         info["max_principle"] = {
             "data_min": blo, "data_max": bhi,
@@ -389,14 +419,7 @@ def solve_parabolic(P, tol=1e-10, store_every=1):
     times = [0.0]
     for n in range(P.nt):
         t_new = (n + 1) * dt
-        if callable(P.source):
-            try:
-                S = np.asarray(P.source(t_new, pts), dtype=float)
-            except TypeError:
-                S = np.asarray(P.source(pts), dtype=float)
-        else:
-            S = np.full(u.shape, float(P.source))
-        rhs = u / dt + S + brhs
+        rhs = u / dt + P.source_at(t_new, pts) + brhs
         u, h = _pcg(op.apply, rhs, diag, tol=tol, shift=1.0 / dt)
         iters.append(len(h))
         energy.append(float((u * u).sum()))
@@ -405,8 +428,7 @@ def solve_parabolic(P, tol=1e-10, store_every=1):
             times.append(t_new)
     info = {"dt": dt, "iterations": iters, "energy": energy,
             "times": times, "history": history}
-    source_free = (not callable(P.source)) and float(P.source) == 0.0
-    if source_free and not P.periodic:
+    if P.source_free and not P.periodic:
         blo, bhi = op.boundary_extremes()
         u0 = history[0]
         lo = min(blo, float(u0.min()))
@@ -488,6 +510,8 @@ def solve_kinetic_fp(P, store_every=1):
         raise ValueError("expected a kinetic-fp problem")
     if len(P.axes) != 2 or P.axes[0].role != "x" or P.axes[1].role != "v":
         raise ValueError("kinetic axes must be (x, v) at d = 1")
+    if not P.periodic:
+        raise ValueError("the kinetic solver is periodic in x; set periodic=True")
     if P.nt < 1 or P.t_final <= 0:
         raise ValueError("need nt >= 1 and t_final > 0")
     x_axis, v_axis = P.axes
@@ -502,14 +526,7 @@ def solve_kinetic_fp(P, store_every=1):
     for n in range(P.nt):
         f = _transport_x(f, x_axis, v_axis, dt)
         t_new = (n + 1) * dt
-        if callable(P.source):
-            try:
-                S = np.asarray(P.source(t_new, pts), dtype=float)
-            except TypeError:
-                S = np.asarray(P.source(pts), dtype=float)
-        else:
-            S = np.full(f.shape, float(P.source))
-        rhs = f * Idt + S
+        rhs = f * Idt + P.source_at(t_new, pts)
         f = _thomas_batched(lower * 1.0, diag + Idt, upper * 1.0, rhs)
         mass.append(float(f.sum()) * x_axis.h * v_axis.h)
         if (n + 1) % store_every == 0 or n == P.nt - 1:
@@ -517,8 +534,7 @@ def solve_kinetic_fp(P, store_every=1):
             times.append(t_new)
     info = {"dt": dt, "mass": mass, "times": times, "history": history,
             "mass_drift": mass[-1] - mass[0]}
-    source_free = (not callable(P.source)) and float(P.source) == 0.0
-    if source_free:
+    if P.source_free:
         f0 = history[0]
         lo = min(0.0, float(f0.min()))
         hi = max(0.0, float(f0.max()))
@@ -533,20 +549,6 @@ def solve_kinetic_fp(P, store_every=1):
 # Weak-form residual checks
 # ---------------------------------------------------------------------------
 
-def _bump1(u):
-    out = np.zeros_like(u)
-    m = np.abs(u) < 1.0
-    out[m] = np.exp(-1.0 / (1.0 - u[m] ** 2))
-    return out
-
-
-def _bump1_d(u):
-    out = np.zeros_like(u)
-    m = np.abs(u) < 1.0
-    out[m] = np.exp(-1.0 / (1.0 - u[m] ** 2)) * (-2.0 * u[m] / (1.0 - u[m] ** 2) ** 2)
-    return out
-
-
 @dataclass
 class TensorBump:
     """Product of 1-D bumps, one factor per coordinate; centers c, widths w."""
@@ -557,14 +559,14 @@ class TensorBump:
         u = (np.asarray(pts) - self.centers) / self.widths
         out = np.ones(u.shape[:-1])
         for k in range(u.shape[-1]):
-            out *= _bump1(u[..., k])
+            out *= _psi(u[..., k])
         return out
 
     def partial(self, pts, k):
         u = (np.asarray(pts) - self.centers) / self.widths
         out = np.ones(u.shape[:-1])
         for i in range(u.shape[-1]):
-            f = _bump1_d(u[..., i]) / self.widths[i] if i == k else _bump1(u[..., i])
+            f = _psi_d1(u[..., i]) / self.widths[i] if i == k else _psi(u[..., i])
             out *= f
         return out
 
@@ -616,7 +618,7 @@ def residual_check(sol, P, bumps=None, n_bumps=5, seed=0):
             bumps = default_bumps(bounds, n_bumps, seed)
         op = _DiffusionOperator(axes, P.coefficients, P.boundary, P.periodic)
         pts = _cell_points(axes)
-        S = _eval(P.source, pts)
+        S = P.source_at(0.0, pts)
         vol = sol.u.cell_volume
         worst = 0.0
         per_bump = []
@@ -660,13 +662,7 @@ def residual_check(sol, P, bumps=None, n_bumps=5, seed=0):
                 fa = face_v[:, 1:-1]
                 term += float((fa * dvf * dvp).sum()) * vol
                 dvf_c = np.gradient(f, v_axis.h, axis=1)
-                if callable(P.source):
-                    try:
-                        S = np.asarray(P.source(t, pts), dtype=float)
-                    except TypeError:
-                        S = np.asarray(P.source(pts), dtype=float)
-                else:
-                    S = np.full(f.shape, float(P.source))
+                S = P.source_at(t, pts)
                 term -= float(((B * dvf_c + S) * phi).sum()) * vol
                 wtime = 0.5 if idx in (0, len(times) - 1) else 1.0
                 if len(times) > 1:

@@ -297,11 +297,11 @@ def _scale_to_hypothesis(sol, eta0=0.5):
     hist, times = sol.info["history"], sol.info["times"]
     tau = (np.asarray(times) - times[-1]) / (times[-1] - times[0]) \
         * (1.0 + eta0 ** 2)
-    x_axis, v_axis = sol.u.axes
-    X, V = np.meshgrid(x_axis.centers(), v_axis.centers(), indexing="ij")
-    pos = dg._kin_cyl_mask(tau, X, V, (-1.0, 0.0, 0.0), eta0)
-    pool = np.concatenate([f[m].ravel() for f, m in zip(hist, pos)
-                           if m is not None and m.any()])
+    pos = geo.KineticCylinder(geo.PhasePoint(-1.0, [0.0], [0.0]), eta0)
+    xv = np.ix_(*sol.u.centers())
+    masks = [geo.cylinder_mask(pos, (t, *xv)) for t in tau]
+    pool = np.concatenate([f[m].ravel() for f, m in zip(hist, masks)
+                           if m.any()])
     s = 1.5 / float(np.quantile(pool, 0.25))
     scaled = [s * f for f in hist]
     return sv.Solution(GridFunction(sol.u.axes, scaled[-1]),

@@ -133,3 +133,17 @@ def test_holder_scan_constant_sentinel_and_jobs(tmp_path):
     assert rows[0] == "index,alpha,constant,fit_residual,monotone"
     assert [r.split(",")[0] for r in rows[1:]] == ["0", "1"]
     assert report["config_hash"]
+
+
+@pytest.mark.parametrize("cfg", [{"seed": 0, "n": "abc"}, {"seed": 0, "n": True},
+                                 {"seed": 0, "box": "1"}, {"seed": True},
+                                 {"seed": 0, "coefficient": 3}])
+def test_config_value_of_wrong_type_is_config_error(tmp_path, cfg):
+    code, _, _ = _run(tmp_path, "holder-scan", cfg)
+    assert code == 3
+
+
+def test_int_config_value_is_accepted_for_a_float_field(tmp_path):
+    code, report, _ = _run(tmp_path, "verify-geometry",
+                           {"seed": 1, "samples": 0, "tol": 1})
+    assert code == 0 and report["config"]["tol"] == 1

@@ -147,3 +147,80 @@ def test_dilate_5q_contains_base():
                            z0.v + rng.uniform(-1, 1, 1) * 0.99 * r)
         assert geo.cylinder_contains(Q, z)
         assert geo.cylinder_contains(Q5, z)
+
+
+def _dyadic_regions(d):
+    """Every region kind at d, anchored on cell centers of _dyadic_axes."""
+    z0 = geo.PhasePoint(0.0, np.full(d, 0.25), np.full(d, 0.5))
+    Qk = geo.KineticCylinder(z0, 0.5)
+    Qp = geo.ParabolicCylinder(0.0, np.full(d, 0.25), 0.5)
+    return [geo.EuclideanBall(np.full(d, 0.25), 0.5), Qp, Qk,
+            geo.stack(Qp, 2), geo.stack(Qk, 2)]
+
+
+def _dyadic_axes(n_axes, n):
+    # cell centers on multiples of 1/8 and radius 1/2, so whole rows of cells
+    # sit exactly on the t0 - r^2, t0 and t0 + 2 r^2 faces and on the x, v
+    # spheres; the time axis (first of several) spans [-5/8, 5/8]
+    c = (np.arange(n) - n // 2) * 0.125
+    t = (np.arange(11) - 5) * 0.125
+    return [t if k == 0 and n_axes > 1 else c + 0.25 for k in range(n_axes)]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_cylinder_mask_equals_scalar_membership_on_every_cell(d):
+    n = 11 if d == 1 else 7
+    for Q in _dyadic_regions(d):
+        if isinstance(Q, geo.EuclideanBall):
+            axes = _dyadic_axes(d, n)
+        else:
+            base = Q.base if isinstance(Q, geo.StackedCylinder) else Q
+            kin = isinstance(base, geo.KineticCylinder)
+            axes = _dyadic_axes(1 + (2 * d if kin else d), n)
+        mask = np.broadcast_to(geo.cylinder_mask(Q, np.ix_(*axes)),
+                               tuple(len(a) for a in axes))
+        assert mask.any() and not mask.all()
+        for idx in np.ndindex(mask.shape):
+            c = [a[i] for a, i in zip(axes, idx)]
+            if isinstance(Q, geo.EuclideanBall):
+                z = np.array(c)
+            elif len(c) == 1 + d:
+                z = (c[0], np.array(c[1:]))
+            else:
+                z = geo.PhasePoint(c[0], c[1:1 + d], c[1 + d:])
+            assert mask[idx] == geo.cylinder_contains(Q, z), (type(Q), idx)
+
+
+def test_cylinder_boundary_semantics():
+    z0 = point(0.0, 0.0, 0.0)
+    r, m = 0.5, 2
+    Q = geo.KineticCylinder(z0, r)
+    S = geo.stack(Q, m)
+    # half-open in time: the top face t0 belongs, the bottom t0 - r^2 does not
+    assert geo.cylinder_contains(Q, point(0.0, 0.0, 0.0))
+    assert not geo.cylinder_contains(Q, point(-r * r, 0.0, 0.0))
+    # open in x and v
+    assert not geo.cylinder_contains(Q, point(-0.125, r ** 3, 0.0))
+    assert not geo.cylinder_contains(Q, point(-0.125, 0.0, r))
+    assert geo.cylinder_contains(Q, point(-0.125, 0.0, r - 2 ** -20))
+    # stacks are open at both time ends and in x, v
+    assert not geo.cylinder_contains(S, point(0.0, 0.0, 0.0))
+    assert not geo.cylinder_contains(S, point(m * r * r, 0.0, 0.0))
+    assert geo.cylinder_contains(S, point(m * r * r - 2 ** -20, 0.0, 0.0))
+    assert not geo.cylinder_contains(S, point(0.25, (m + 2) * r ** 3, 0.0))
+    P = geo.ParabolicCylinder(0.0, [0.0], r)
+    assert geo.cylinder_contains(P, (0.0, [0.0]))
+    assert not geo.cylinder_contains(P, (-r * r, [0.0]))
+    assert not geo.cylinder_contains(P, (-0.125, [r]))
+    assert not geo.cylinder_contains(geo.stack(P, m), (0.0, [0.0]))
+    assert not geo.cylinder_contains(geo.stack(P, m), (m * r * r, [0.0]))
+    assert not geo.cylinder_contains(geo.EuclideanBall([0.0], r), [r])
+    # pad widens the time depth, the x radius and the v radius
+    t = np.array([-r * r, -r * r - 0.1])
+    assert geo.cylinder_mask(Q, (t, 0.0, 0.0), pad=(0.05, 0.0, 0.0)).tolist() == [True, False]
+    assert geo.cylinder_mask(Q, (-0.125, r ** 3, 0.0), pad=(0.0, 0.01, 0.0))
+    assert geo.cylinder_mask(Q, (-0.125, 0.0, r), pad=(0.0, 0.0, 0.01))
+    with pytest.raises(TypeError):
+        geo.cylinder_mask(object(), (0.0,))
+    with pytest.raises(ValueError):
+        geo.cylinder_contains(Q, point(0.0, 0.0, 0.0, d=2))

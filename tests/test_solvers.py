@@ -159,3 +159,49 @@ def test_kinetic_weak_residual_refines():
 def test_solver_error_carries_history():
     err = sv.SolverError("stalled", [1.0, 0.5])
     assert err.residual_history == [1.0, 0.5]
+
+
+def test_array_and_gridfunction_sources_match_constant():
+    axes = [Axis("x", -1, 1, 24), Axis("x", -1, 1, 24)]
+    shape = (24, 24)
+    ref = sv.solve_elliptic(sv.Problem(kind="elliptic", axes=axes,
+                                       coefficients=_identity(), source=1.0))
+    for src in (np.ones(shape), GridFunction(axes, np.ones(shape))):
+        sol = sv.solve_elliptic(sv.Problem(kind="elliptic", axes=axes,
+                                           coefficients=_identity(), source=src))
+        assert np.allclose(sol.u.values, ref.u.values, rtol=1e-12, atol=0)
+    par = dict(kind="parabolic", axes=axes[:1], coefficients=_identity(),
+               initial=0.0, t_final=0.1, nt=4)
+    ref = sv.solve_parabolic(sv.Problem(source=1.0, **par))
+    sol = sv.solve_parabolic(sv.Problem(source=np.ones(24), **par))
+    assert np.array_equal(sol.u.values, ref.u.values)
+    assert "max_principle" not in sol.info
+    zero = sv.solve_parabolic(sv.Problem(source=np.zeros(24), **par))
+    assert zero.info["max_principle"]["ok"]
+
+
+def test_source_arity_is_read_from_the_signature():
+    axes = [Axis("x", -1, 1, 16)]
+    par = dict(kind="parabolic", axes=axes, coefficients=_identity(),
+               initial=0.0, t_final=0.1, nt=4)
+
+    def broken(t, pts):
+        raise TypeError("broken source")
+
+    with pytest.raises(TypeError, match="broken source"):
+        sv.solve_parabolic(sv.Problem(source=broken, **par))
+    seen = []
+    sv.solve_parabolic(sv.Problem(source=lambda t, p: seen.append(t) or 0 * p[..., 0], **par))
+    assert seen == pytest.approx([0.025, 0.05, 0.075, 0.1])
+    # a default argument does not make a source time-dependent
+    sol = sv.solve_parabolic(sv.Problem(source=lambda p, scale=2.0: scale + 0 * p[..., 0], **par))
+    ref = sv.solve_parabolic(sv.Problem(source=2.0, **par))
+    assert np.array_equal(sol.u.values, ref.u.values)
+
+
+def test_kinetic_solver_rejects_nonperiodic_x():
+    axes = [Axis("x", -0.5, 0.5, 8), Axis("v", -1, 1, 8)]
+    P = sv.Problem(kind="kinetic-fp", axes=axes, coefficients=_identity(),
+                   initial=1.0, t_final=0.1, nt=2)
+    with pytest.raises(ValueError, match="periodic"):
+        sv.solve_kinetic_fp(P)
