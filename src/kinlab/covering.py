@@ -5,6 +5,12 @@ everything involving measures of unions of slanted cylinders is rasterized
 on uniform lattices with a reported boundary-cell slack.  The continuum
 "for every cylinder" quantifiers are replaced by documented finite families
 (dyadic radii, lattice-centered anchors); reports record the family used.
+
+Cylinder window sums come from prefix sums (summed-area tables) built only
+over the cells the requested anchors' windows reach.  The ink-spots checks
+ask only for the bounding box of their admissible anchors; they sum 0/1
+masks, whose partial sums are exact integers, so the box changes no bit.
+The maximal function asks for every anchor, the full-lattice computation.
 """
 
 import math
@@ -172,10 +178,14 @@ class RasterMask:
 
     def boundary_slack(self):
         """Volume of the one-cell boundary layer of the current mask."""
-        if not self.mask.any():
+        # dilation and erosion (cross structure, zero border) are both False
+        # outside the mask's bounding box padded by one cell
+        box = _bounding_box(self.mask, pad=1)
+        if box is None:
             return 0.0
-        dil = ndimage.binary_dilation(self.mask)
-        ero = ndimage.binary_erosion(self.mask)
+        sub = self.mask[box]
+        dil = ndimage.binary_dilation(sub)
+        ero = ndimage.binary_erosion(sub)
         return float((dil & ~ero).sum()) * self.cell_volume
 
 
@@ -190,66 +200,106 @@ def _window_offsets(shift, half, h):
     return lo, hi
 
 
-def _cyl_sums_kinetic(vals, axes, r):
-    """Sums of zero-extended vals over Q_r anchored at every cell center.
+def _bounding_box(mask, pad=0):
+    """Index slices of the smallest box holding every True cell of mask,
+    widened by pad cells and clipped to the array; None if mask is empty."""
+    box = []
+    for ax, n in enumerate(mask.shape):
+        others = tuple(a for a in range(mask.ndim) if a != ax)
+        hit = np.flatnonzero(mask.any(axis=others))
+        if hit.size == 0:
+            return None
+        box.append(slice(max(int(hit[0]) - pad, 0), min(int(hit[-1]) + 1 + pad, n)))
+    return tuple(box)
 
-    Returns (sums, counts) with counts the full-cylinder cell count (the
-    cylinder is not clipped at the box; outside cells contribute 0).
-    """
+
+def _cyl_sums_kinetic(vals, axes, r, box):
+    """Kinetic window sums for anchors in box = ((a0, a1), (b0, b1), (c0, c1))."""
+    (a0, a1), (b0, b1), (c0, c1) = box
     Nt, Nx, Nv = vals.shape
     dt, dx, dv = axes[0].h, axes[1].h, axes[2].h
-    vc = axes[2].centers()
+    vc = axes[2].centers()[c0:c1]
     kmax = math.ceil(r * r / dt) - 1
     mv = math.ceil(r / dv) - 1
-    # window sums along v (clipped at the box; anchors near the v-edge see a
-    # truncated numerator, counts still use the full width)
-    Cv = np.concatenate([np.zeros((Nt, Nx, 1)), np.cumsum(vals, axis=2)], axis=2)
-    j = np.arange(Nv)
-    jlo = np.clip(j - mv, 0, Nv)
-    jhi = np.clip(j + mv + 1, 0, Nv)
-    Dv = Cv[:, :, jhi] - Cv[:, :, jlo]
-    Cx = np.concatenate([np.zeros((Nt, 1, Nv)), np.cumsum(Dv, axis=1)], axis=1)
     # integer x-window bounds per (time offset k, anchor velocity j)
     kk = np.arange(kmax + 1)[:, None]
     shift = -kk * dt * vc[None, :]
     LO = np.floor(shift / dx - r ** 3 / dx).astype(int) + 1
     HI = np.ceil(shift / dx + r ** 3 / dx).astype(int) - 1
     counts = (HI - LO + 1).sum(axis=0) * (2 * mv + 1)
-    sums = np.zeros((Nt, Nx, Nv))
-    c = np.arange(Nx)[:, None]
-    jb = np.arange(Nv)[None, :]
+    # prefix sums only over the cells the box's windows reach: time rows
+    # t0..a1, x cells x0..x1, v cells v0..v1 (the full lattice for the full box)
+    t0 = max(a0 - kmax, 0)
+    x0 = min(max(b0 + int(LO.min()), 0), Nx)
+    x1 = min(max(b1 + int(HI.max()), 0), Nx)
+    v0, v1 = max(c0 - mv, 0), min(c1 + mv, Nv)
+    # window sums along v (clipped at the box; anchors near the v-edge see a
+    # truncated numerator, counts still use the full width)
+    sub = vals[t0:a1, x0:x1, v0:v1]
+    Cv = np.concatenate([np.zeros(sub.shape[:2] + (1,)), np.cumsum(sub, axis=2)], axis=2)
+    j = np.arange(c0, c1)
+    jlo = np.clip(j - mv, 0, Nv) - v0
+    jhi = np.clip(j + mv + 1, 0, Nv) - v0
+    Dv = Cv[:, :, jhi] - Cv[:, :, jlo]
+    Cx = np.concatenate([np.zeros((a1 - t0, 1, c1 - c0)), np.cumsum(Dv, axis=1)], axis=1)
+    sums = np.zeros((a1 - a0, b1 - b0, c1 - c0))
+    c = np.arange(b0, b1)[:, None]
+    jb = np.arange(c1 - c0)[None, :]
     for k in range(kmax + 1):
-        ilo = np.clip(c + LO[k][None, :], 0, Nx)
-        ihi = np.clip(c + HI[k][None, :] + 1, 0, Nx)
-        sums[k:] += Cx[:Nt - k, ihi, jb] - Cx[:Nt - k, ilo, jb]
-    return sums, np.broadcast_to(counts.astype(float), (Nt, Nx, Nv))
+        ilo = np.clip(c + LO[k][None, :], 0, Nx) - x0
+        ihi = np.clip(c + HI[k][None, :] + 1, 0, Nx) - x0
+        # anchor rows a >= k read data row a - k; local data row a - k - t0
+        a = max(a0, k)
+        if a >= a1:
+            break
+        rows = slice(a - k - t0, a1 - k - t0)
+        sums[a - a0:] += Cx[rows, ihi, jb] - Cx[rows, ilo, jb]
+    return sums, np.broadcast_to(counts.astype(float), sums.shape)
 
 
-def _cyl_sums_parabolic(vals, axes, r):
+def _cyl_sums_parabolic(vals, axes, r, box):
     """Parabolic analogue of _cyl_sums_kinetic on a (t, x) lattice."""
+    (a0, a1), (b0, b1) = box
     Nt, Nx = vals.shape
     dt, dx = axes[0].h, axes[1].h
     kmax = math.ceil(r * r / dt) - 1
     lo, hi = _window_offsets(0.0, r, dx)
-    Cx = np.concatenate([np.zeros((Nt, 1)), np.cumsum(vals, axis=1)], axis=1)
-    c = np.arange(Nx)
-    ilo = np.clip(c + lo, 0, Nx)
-    ihi = np.clip(c + hi + 1, 0, Nx)
+    t0 = max(a0 - kmax, 0)
+    x0, x1 = min(max(b0 + lo, 0), Nx), min(max(b1 + hi, 0), Nx)
+    Cx = np.concatenate([np.zeros((a1 - t0, 1)),
+                         np.cumsum(vals[t0:a1, x0:x1], axis=1)], axis=1)
+    c = np.arange(b0, b1)
+    ilo = np.clip(c + lo, 0, Nx) - x0
+    ihi = np.clip(c + hi + 1, 0, Nx) - x0
     row = Cx[:, ihi] - Cx[:, ilo]
-    Ct = np.concatenate([np.zeros((1, Nx)), np.cumsum(row, axis=0)], axis=0)
-    i = np.arange(Nt)
-    tlo = np.clip(i - kmax, 0, Nt)
-    thi = i + 1
+    Ct = np.concatenate([np.zeros((1, b1 - b0)), np.cumsum(row, axis=0)], axis=0)
+    i = np.arange(a0, a1)
+    tlo = np.clip(i - kmax, 0, Nt) - t0
+    thi = i + 1 - t0
     sums = Ct[thi] - Ct[tlo]
     counts = float((hi - lo + 1) * (kmax + 1))
-    return sums, np.full((Nt, Nx), counts)
+    return sums, np.full(sums.shape, counts)
 
 
-def _cyl_sums(vals, axes, r, geometry):
+def _cyl_sums(vals, axes, r, geometry, box=None):
+    """Sums of zero-extended vals over Q_r anchored at the cell centres of box.
+
+    box is a tuple of index slices (None: the whole lattice).  Returns
+    (sums, counts) on the box, counts being the full-cylinder cell count
+    (the cylinder is not clipped at the lattice; outside cells contribute 0).
+    Prefix sums are built only over the cells the box's windows reach.  On
+    the whole lattice this is the full-lattice computation; on a smaller box
+    the prefix sums start at another origin, which leaves the sums exact
+    when vals are integers (0/1 masks: every partial sum is an integer below
+    2**53), but may move low bits of non-integer data.
+    """
+    if box is None:
+        box = (slice(None),) * vals.ndim
+    bounds = [s.indices(n)[:2] for s, n in zip(box, vals.shape)]
     if geometry == "kinetic":
-        return _cyl_sums_kinetic(vals, axes, r)
+        return _cyl_sums_kinetic(vals, axes, r, bounds)
     if geometry == "parabolic":
-        return _cyl_sums_parabolic(vals, axes, r)
+        return _cyl_sums_parabolic(vals, axes, r, bounds)
     raise ValueError(f"unknown geometry {geometry!r}")
 
 
@@ -411,10 +461,11 @@ def _stack_subbox(base, m, axes):
     return tuple(slices)
 
 
-def _stack_cells(mask_obj, base, m):
-    """(subbox slices, boolean stack membership on the subbox)."""
-    sl = _stack_subbox(base, m, mask_obj.axes)
-    coords = [a.centers()[s] for a, s in zip(mask_obj.axes, sl)]
+def _stack_cells(axes, centers, base, m):
+    """(subbox slices, boolean stack membership on the subbox); centers are
+    the cell centres of axes."""
+    sl = _stack_subbox(base, m, axes)
+    coords = [c[s] for c, s in zip(centers, sl)]
     return sl, cylinder_mask(StackedCylinder(base, m), np.ix_(*coords))
 
 
@@ -480,6 +531,19 @@ def _lattice_mask(shape, stride):
     return out
 
 
+def _hot_anchors(vals, mask_obj, geometry, d, r, mu, lattice):
+    """Lattice indices, in C order, of the admissible anchors on the stride
+    lattice whose Q_r is more than mu-filled by vals.  Window sums are taken
+    only on the bounding box of those anchors."""
+    adm = _anchor_admissible(mask_obj, geometry, d, r) & lattice
+    box = _bounding_box(adm)
+    if box is None:
+        return np.empty((0, adm.ndim), dtype=int)
+    sums, counts = _cyl_sums(vals, mask_obj.axes, r, geometry, box)
+    hot = (sums > mu * counts) & adm[box]
+    return np.argwhere(hot) + [s.start for s in box]
+
+
 def ink_spots_check(E, F, geometry, m, r0, mu=0.5, k_cap=6, stack_check_cap=200,
                     stride=1, rng=None):
     """Verify the stacked ink-spots inequality on rasterized sets.
@@ -503,22 +567,18 @@ def ink_spots_check(E, F, geometry, m, r0, mu=0.5, k_cap=6, stack_check_cap=200,
 
     radii = _dyadic_radii(E, geometry, k_cap)
     lattice = _lattice_mask(E.mask.shape, stride)
+    vals = E.mask.astype(float)
     violations = []
     flagged = []
     for r in radii:
-        adm = _anchor_admissible(E, geometry, d, r) & lattice
-        if not adm.any():
-            continue
-        sums, counts = _cyl_sums(E.mask.astype(float), E.axes, r, geometry)
-        hot = (sums > mu * counts) & adm
-        if not hot.any():
+        hot = _hot_anchors(vals, E, geometry, d, r, mu, lattice)
+        if len(hot) == 0:
             continue
         if r >= r0:
-            idx = np.argwhere(hot)[0]
-            violations.append({"radius": r, "anchor_index": idx.tolist(),
+            violations.append({"radius": r, "anchor_index": hot[0].tolist(),
                                "reason": "half-filled cylinder with r >= r0"})
             continue
-        for idx in np.argwhere(hot):
+        for idx in hot:
             flagged.append((r, tuple(idx)))
 
     rng = np.random.default_rng(0) if rng is None else rng
@@ -526,13 +586,14 @@ def ink_spots_check(E, F, geometry, m, r0, mu=0.5, k_cap=6, stack_check_cap=200,
     if len(flagged) > stack_check_cap:
         sel = rng.choice(len(flagged), size=stack_check_cap, replace=False)
         check = [flagged[i] for i in sorted(sel)]
+    centers = [a.centers() for a in E.axes]
     for r, idx in check:
-        anchor = [E.axes[k].centers()[idx[k]] for k in range(len(idx))]
+        anchor = [c[i] for c, i in zip(centers, idx)]
         base = _family_cylinder(geometry, anchor, r)
-        sl, stack_cells = _stack_cells(F, base, m)
+        sl, stack_cells = _stack_cells(E.axes, centers, base, m)
         missing = stack_cells & ~F.mask[sl]
         if missing.any():
-            violations.append({"radius": r, "anchor_index": list(idx),
+            violations.append({"radius": r, "anchor_index": [int(i) for i in idx],
                                "reason": "stacked cylinder not inside F",
                                "missing_cells": int(missing.sum())})
 
@@ -579,20 +640,17 @@ def synthesize_ink_spots_instance(geometry, m, r0, rng, cells_per_unit=96,
 
     F = RasterMask(E.axes, E.mask.copy())
     lattice = _lattice_mask(E.mask.shape, stride)
+    vals = E.mask.astype(float)
+    centers = [a.centers() for a in E.axes]
     for r in _dyadic_radii(E, geometry, k_cap):
         if r >= r0:
             # large half-filled cylinders would violate the hypothesis; the
             # synthesized E is sparse enough that none occur (checked below)
             continue
-        adm = _anchor_admissible(E, geometry, d, r) & lattice
-        if not adm.any():
-            continue
-        sums, counts = _cyl_sums(E.mask.astype(float), E.axes, r, geometry)
-        hot = np.argwhere((sums > mu * counts) & adm)
-        for idx in hot:
-            anchor = [E.axes[k].centers()[idx[k]] for k in range(len(idx))]
+        for idx in _hot_anchors(vals, E, geometry, d, r, mu, lattice):
+            anchor = [c[i] for c, i in zip(centers, idx)]
             base = _family_cylinder(geometry, anchor, r)
-            sl, cells = _stack_cells(F, base, m)
+            sl, cells = _stack_cells(E.axes, centers, base, m)
             F.mask[sl] |= cells
     return E, F
 

@@ -315,9 +315,12 @@ def scaled_integrability_probe(beta0, G, p, T, eps_seq=None):
 
     The t-integral reduces by exact change of variables to
     ||G||_p^p * t^{-((2d+beta0)p - 2d)}; the probe integrates that density
-    numerically over a shrinking eps-sequence and flags convergence by the
-    Cauchy criterion, which must match the printed exponent condition
-    (2d+beta0)p - 2d < 1.
+    numerically over a shrinking eps-sequence (at least three distinct values
+    in (0, T); taken in decreasing order) and flags convergence when the
+    tail increment per unit of log(eps) shrinks between the last two steps.
+    That increment scales like eps^(1 - e) for the exponent e, so its ratio
+    (2^(e-1) when eps halves) is below 1 exactly under the printed condition
+    e = (2d+beta0)p - 2d < 1.
     """
     d = len([r for r in G.roles() if r == "x"])
     if d == 0:
@@ -326,6 +329,9 @@ def scaled_integrability_probe(beta0, G, p, T, eps_seq=None):
     expo = (2.0 * d + beta0) * p - 2.0 * d
     if eps_seq is None:
         eps_seq = [T / 2 ** k for k in range(3, 14)]
+    eps_seq = sorted({float(e) for e in eps_seq}, reverse=True)
+    if len(eps_seq) < 3 or not 0.0 < eps_seq[-1] < eps_seq[0] < T:
+        raise ValueError("eps_seq needs at least three distinct values in (0, T)")
     tails = []
     for eps in eps_seq:
         ts = np.exp(np.linspace(math.log(eps), math.log(T), 4000))
@@ -333,9 +339,8 @@ def scaled_integrability_probe(beta0, G, p, T, eps_seq=None):
         # trapezoid rule (np.trapz is gone from numpy 2.x)
         tails.append(float((np.diff(ts) * (dens[1:] + dens[:-1]) / 2.0).sum()))
     inc = [tails[i + 1] - tails[i] for i in range(len(tails) - 1)]
-    # Cauchy: the last increments must shrink geometrically
-    converged = abs(inc[-1]) < 0.5 * abs(inc[0]) + 1e-14 and abs(inc[-1]) < 1e-3 * (
-        abs(tails[-1]) + 1.0)
+    rate = [inc[i] / math.log(eps_seq[i] / eps_seq[i + 1]) for i in range(len(inc))]
+    converged = abs(rate[-1]) < abs(rate[-2]) or rate[-1] == 0.0
     return IntegrabilityReport(p, beta0, d, expo, expo < 1.0, inc, converged, tails)
 
 

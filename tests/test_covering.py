@@ -1,5 +1,9 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from scipy import ndimage
 from hypothesis import given, settings, strategies as st
 
 from kinlab.gridfn import Axis, GridFunction
@@ -153,6 +157,145 @@ def test_ink_spots_rejects_e_not_in_f():
     F = cov.RasterMask(axes, np.zeros((32, 32), bool))
     with pytest.raises(ValueError):
         cov.ink_spots_check(E, F, "parabolic", 1, 1.0)
+
+
+def _full_slack(mask_obj):
+    m = mask_obj.mask
+    layer = ndimage.binary_dilation(m) & ~ndimage.binary_erosion(m)
+    return float(layer.sum()) * mask_obj.cell_volume
+
+
+@pytest.mark.parametrize("shape", [(9, 11), (7, 10, 6)])
+def test_boundary_slack_equals_full_lattice(shape):
+    rng = np.random.default_rng(sum(shape))
+    axes = [Axis(r, -1, 1, n) for r, n in zip("txv", shape)]
+    masks = [rng.random(shape) < p for p in (0.02, 0.2, 0.6, 0.97)]
+    # a random blob in the middle, and masks touching every array face
+    blob = np.zeros(shape, bool)
+    blob[tuple(slice(2, n - 2) for n in shape)] = rng.random(
+        tuple(n - 4 for n in shape)) < 0.5
+    masks.append(blob)
+    for ax, n in enumerate(shape):
+        for i in (0, n - 1):
+            face = blob.copy()
+            face[(slice(None),) * ax + (i,)] = True
+            masks.append(face)
+    masks.append(np.ones(shape, bool))
+    one = np.zeros(shape, bool)
+    one[tuple(n // 2 for n in shape)] = True
+    masks.append(one)
+    corner = np.zeros(shape, bool)
+    corner[(0,) * len(shape)] = True
+    masks.append(corner)
+    for m in masks:
+        mo = cov.RasterMask(axes, m)
+        assert mo.boundary_slack() == _full_slack(mo)
+    assert cov.RasterMask(axes).boundary_slack() == 0.0
+
+
+def _brute_cyl_sums(vals, axes, r, geometry, box):
+    """Loop over each anchor's integer window offsets, zero outside the lattice."""
+    dt, dx = axes[0].h, axes[1].h
+    kmax = math.ceil(r * r / dt) - 1
+    if geometry == "kinetic":
+        dv = axes[2].h
+        vc = axes[2].centers()
+        mv = math.ceil(r / dv) - 1
+    else:
+        lo, hi = cov._window_offsets(0.0, r, dx)
+    anchors = np.indices(vals.shape)[(slice(None),) + box].reshape(vals.ndim, -1).T
+    sums, counts = [], []
+    for z in anchors:
+        total, cnt = 0.0, 0
+        for k in range(kmax + 1):
+            if geometry == "kinetic":
+                shift = -k * dt * vc[z[2]]
+                lo = math.floor(shift / dx - r ** 3 / dx) + 1
+                hi = math.ceil(shift / dx + r ** 3 / dx) - 1
+                vw = range(z[2] - mv, z[2] + mv + 1)
+            else:
+                vw = [None]
+            for i in range(z[1] + lo, z[1] + hi + 1):
+                for j in vw:
+                    cnt += 1
+                    cell = (z[0] - k, i) if j is None else (z[0] - k, i, j)
+                    if all(0 <= c < n for c, n in zip(cell, vals.shape)):
+                        total += vals[cell]
+        sums.append(total)
+        counts.append(cnt)
+    out_shape = vals[box].shape
+    return np.reshape(sums, out_shape), np.reshape(counts, out_shape).astype(float)
+
+
+_SUM_CASES = [
+    # kinetic: fast v so the sheared x-windows leave the lattice
+    ("kinetic", [Axis("t", -1, 0.3, 8), Axis("x", -1, 1, 10),
+                 Axis("v", -3, 3, 12)], 0.6,
+     [(slice(0, 3), slice(0, 10), slice(0, 12)),      # rows below kmax, all v
+      (slice(2, 8), slice(7, 10), slice(0, 2)),       # x right edge, low v edge
+      (slice(5, 6), slice(0, 2), slice(10, 12)),      # x left edge, high v edge
+      (slice(1, 7), slice(3, 6), slice(4, 8))]),
+    ("parabolic", [Axis("t", -1, 0.3, 9), Axis("x", -1, 1, 12)], 0.55,
+     [(slice(0, 2), slice(0, 12)), (slice(1, 9), slice(0, 3)),
+      (slice(4, 9), slice(9, 12)), (slice(3, 5), slice(4, 7))]),
+]
+
+
+@pytest.mark.parametrize("geometry, axes, r, boxes", _SUM_CASES)
+def test_boxed_window_sums_match_brute_force(geometry, axes, r, boxes):
+    shape = tuple(a.n for a in axes)
+    assert math.ceil(r * r / axes[0].h) - 1 >= 2  # boxes start below kmax
+    rng = np.random.default_rng(7)
+    binary = (rng.random(shape) < 0.4).astype(float)
+    real = rng.random(shape)
+    full_box = tuple(slice(None) for _ in shape)
+    full = cov._cyl_sums(binary, axes, r, geometry)
+    for box in boxes + [full_box]:
+        want, want_cnt = _brute_cyl_sums(binary, axes, r, geometry, box)
+        got, cnt = cov._cyl_sums(binary, axes, r, geometry, box)
+        assert np.array_equal(got, want) and np.array_equal(cnt, want_cnt)
+        assert np.array_equal(got, full[0][box]) and np.array_equal(cnt, full[1][box])
+        want, _ = _brute_cyl_sums(real, axes, r, geometry, box)
+        got, _ = cov._cyl_sums(real, axes, r, geometry, box)
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+_VIOLATION_CASES = [("kinetic", 32, 2), ("parabolic", 64, 1)]
+
+
+def _assert_hot_admissible(E, geometry, stride, violations):
+    assert json.loads(json.dumps(violations)) == violations
+    for v in violations:
+        r, idx = v["radius"], tuple(v["anchor_index"])
+        sums, counts = cov._cyl_sums(E.mask.astype(float), E.axes, r, geometry)
+        adm = (cov._anchor_admissible(E, geometry, 1, r)
+               & cov._lattice_mask(E.mask.shape, stride))
+        assert adm[idx] and sums[idx] > 0.5 * counts[idx]
+
+
+@pytest.mark.parametrize("geometry, cells, stride", _VIOLATION_CASES)
+def test_ink_spots_reports_stack_outside_f(geometry, cells, stride):
+    rng = np.random.default_rng(1)
+    E, _ = cov.synthesize_ink_spots_instance(geometry, 1, 1.0, rng,
+                                             cells_per_unit=cells, stride=stride)
+    rep = cov.ink_spots_check(E, E, geometry, 1, 1.0, rng=rng, stride=stride)
+    assert not rep.hypothesis_ok and not rep.passed
+    assert rep.violations
+    assert all(v["reason"] == "stacked cylinder not inside F" for v in rep.violations)
+    _assert_hot_admissible(E, geometry, stride, rep.violations)
+
+
+@pytest.mark.parametrize("geometry, cells, stride", _VIOLATION_CASES)
+def test_ink_spots_reports_large_half_filled_cylinder(geometry, cells, stride):
+    rng = np.random.default_rng(1)
+    E, F = cov.synthesize_ink_spots_instance(geometry, 1, 1.0, rng,
+                                             cells_per_unit=cells, stride=stride)
+    rep = cov.ink_spots_check(E, F, geometry, 1, 0.5, rng=rng, stride=stride)
+    assert not rep.hypothesis_ok and not rep.passed
+    large = [v for v in rep.violations
+             if v["reason"] == "half-filled cylinder with r >= r0"]
+    assert large and all(v["radius"] >= 0.5 for v in large)
+    _assert_hot_admissible(E, geometry, stride, rep.violations)
 
 
 def test_lebesgue_probe_monotone_on_smooth_field():

@@ -175,6 +175,20 @@ def test_scaled_integrability_probe_follows_exponent():
     assert not bad.should_converge and not bad.converged
 
 
+@pytest.mark.parametrize("beta0", [0.6, 0.9])
+def test_scaled_integrability_probe_slow_tails_converge(beta0):
+    # exponents just below 1: the tail increments shrink only by 2^(e-1)
+    # per halving of eps, which the ratio test must still see
+    G = GridFunction([Axis("x", -1, 1, 8), Axis("v", -1, 1, 8)], np.ones((8, 8)))
+    rep = ker.scaled_integrability_probe(beta0, G, 1.0, 1.0)
+    assert rep.should_converge and rep.converged
+    eps = [1e-3, 0.3, 0.1, 0.01, 0.1]   # unordered, repeated, uneven steps
+    assert ker.scaled_integrability_probe(beta0, G, 1.0, 1.0, eps).converged
+    assert not ker.scaled_integrability_probe(1.2, G, 1.0, 1.0, eps).converged
+    with pytest.raises(ValueError):
+        ker.scaled_integrability_probe(beta0, G, 1.0, 1.0, [0.5, 0.25])
+
+
 def test_x_regularity_exponents_monotone():
     p0, q0 = ker.x_regularity_exponents(0.3, 1)
     p1, q1 = ker.x_regularity_exponents(0.1, 1)
