@@ -15,7 +15,10 @@ which keeps the stencil symmetric and exact on quadratic polynomials.
 Time stepping is implicit Euler throughout (no stability constraint).  The
 kinetic solver splits each step into an exact semi-Lagrangian shift
 x <- x - v dt with linear interpolation (periodic in x), followed by an
-implicit diffusion-drift solve in v, batched over x by a Thomas sweep.
+implicit diffusion-drift solve in v, batched over x by a Thomas sweep.  The
+shift's gather indices and weights and the sweep's factor depend only on
+the problem and dt, so they are computed once per solve; each step then
+sweeps a v-major (Nv, Nx) buffer row by row, all x columns at once.
 """
 
 import inspect
@@ -163,7 +166,7 @@ class Problem:
     boundary: object = 0.0         # Dirichlet trace g(points) or constant
     initial: object = None         # initial data f0(points) or constant
     source: object = 0.0           # S(points) or S(t, points) or constant
-    drift: object = None           # kinetic drift B(points) -> (..., d)
+    drift: object = None           # d = 1 v-component B(pts) -> pts.shape[:-1]
     t_final: float = 0.0
     nt: int = 0
     periodic: bool = False         # torus in x; kinetic-fp requires True
@@ -402,11 +405,19 @@ def solve_elliptic(P, tol=1e-10):
     return Solution(GridFunction(P.axes, u), info)
 
 
+def _check_store_every(store_every):
+    if (isinstance(store_every, bool)
+            or not isinstance(store_every, (int, np.integer))
+            or store_every < 1):
+        raise ValueError(f"store_every must be an int >= 1, got {store_every!r}")
+
+
 def solve_parabolic(P, tol=1e-10, store_every=1):
     if P.kind != "parabolic":
         raise ValueError("expected a parabolic problem")
     if P.nt < 1 or P.t_final <= 0:
         raise ValueError("need nt >= 1 and t_final > 0")
+    _check_store_every(store_every)
     op = _DiffusionOperator(P.axes, P.coefficients, P.boundary, P.periodic)
     pts = _cell_points(P.axes)
     dt = P.t_final / P.nt
@@ -444,17 +455,34 @@ def solve_parabolic(P, tol=1e-10, store_every=1):
 # Kinetic transport-diffusion
 # ---------------------------------------------------------------------------
 
-def _transport_x(f, x_axis, v_axis, dt):
-    """Periodic semi-Lagrangian shift f(x, v) <- f(x - v dt, v)."""
-    Nx = x_axis.n
-    s = v_axis.centers() * dt / x_axis.h       # shift in cells, per v column
+def _transport_plan(x_axis, v_axis, dt):
+    """Gather indices and weights of the periodic semi-Lagrangian shift
+    f(x, v) <- f(x - v dt, v), computed once per solve.
+
+    Returns (i0, i1, 1 - w, w) for the v-major (Nv, Nx) output: entry
+    [j, i] is (1 - w[j]) f[i0[j, i]] + w[j] f[i1[j, i]], where i0 and i1
+    index the C-order flattening of the x-major (Nx, Nv) array f.
+    """
+    Nx, Nv = x_axis.n, v_axis.n
+    s = v_axis.centers() * dt / x_axis.h       # shift in cells, per v row
     k = np.floor(s).astype(int)
     w = s - k
-    i = np.arange(Nx)[:, None]
-    j = np.arange(v_axis.n)[None, :]
-    i0 = (i - k[None, :]) % Nx
-    i1 = (i - k[None, :] - 1) % Nx
-    return (1.0 - w)[None, :] * f[i0, j] + w[None, :] * f[i1, j]
+    i = np.arange(Nx)[None, :]
+    j = np.arange(Nv)[:, None]
+    i0 = ((i - k[:, None]) % Nx) * Nv + j
+    i1 = ((i - k[:, None] - 1) % Nx) * Nv + j
+    return i0, i1, (1.0 - w)[:, None], w[:, None]
+
+
+def _transport(f, plan, out, tmp):
+    """Write the shifted x-major f into the v-major buffer out."""
+    i0, i1, one_minus_w, w = plan
+    # the indices are in range; "clip" avoids the buffered bounds check
+    np.take(f, i0, out=out, mode="clip")
+    np.multiply(one_minus_w, out, out=out)
+    np.take(f, i1, out=tmp, mode="clip")
+    np.multiply(w, tmp, out=tmp)
+    np.add(out, tmp, out=out)
 
 
 def _v_step_matrices(P, pts):
@@ -474,6 +502,9 @@ def _v_step_matrices(P, pts):
     B = np.zeros_like(a)
     if P.drift is not None:
         B = _eval(P.drift, pts)
+        if B.shape != a.shape:
+            raise ValueError(f"drift must return the v-component, shape "
+                             f"{a.shape} on these points; got {B.shape}")
     # -div_v(a d_v f) - B d_v f on the column; central drift difference
     lower = -face[:, :-1] / hv ** 2 + B / (2.0 * hv)
     upper = -face[:, 1:] / hv ** 2 - B / (2.0 * hv)
@@ -481,22 +512,30 @@ def _v_step_matrices(P, pts):
     return lower, diag, upper
 
 
-def _thomas_batched(lower, diag, upper, rhs):
-    """Solve tridiagonal systems batched along axis 0 (one per x column)."""
-    n = diag.shape[1]
-    c = np.zeros_like(diag)
-    d = np.zeros_like(rhs)
-    c[:, 0] = upper[:, 0] / diag[:, 0]
-    d[:, 0] = rhs[:, 0] / diag[:, 0]
-    for j in range(1, n):
-        den = diag[:, j] - lower[:, j] * c[:, j - 1]
-        c[:, j] = upper[:, j] / den
-        d[:, j] = (rhs[:, j] - lower[:, j] * d[:, j - 1]) / den
-    x = np.zeros_like(rhs)
-    x[:, -1] = d[:, -1]
-    for j in range(n - 2, -1, -1):
-        x[:, j] = d[:, j] - c[:, j] * x[:, j + 1]
-    return x
+def _thomas_factor(lower, diag, upper):
+    """Forward-sweep coefficients c and pivots den of tridiagonal systems
+    stored v-major: row j holds entry j of every system."""
+    c = np.empty_like(diag)
+    den = np.empty_like(diag)
+    den[0] = diag[0]
+    c[0] = upper[0] / diag[0]
+    for j in range(1, diag.shape[0]):
+        den[j] = diag[j] - lower[j] * c[j - 1]
+        c[j] = upper[j] / den[j]
+    return c, den
+
+
+def _thomas_sweep(lower, c, den, d, tmp):
+    """Solve in place with a factor from _thomas_factor: the row views d
+    hold the right-hand sides on entry and the solution on exit."""
+    np.divide(d[0], den[0], out=d[0])
+    for lo, dn, prev, row in zip(lower[1:], den[1:], d[:-1], d[1:]):
+        np.multiply(lo, prev, out=tmp)
+        np.subtract(row, tmp, out=row)
+        np.divide(row, dn, out=row)
+    for cj, nxt, row in zip(c[-2::-1], d[:0:-1], d[-2::-1]):
+        np.multiply(cj, nxt, out=tmp)
+        np.subtract(row, tmp, out=row)
 
 
 def solve_kinetic_fp(P, store_every=1):
@@ -505,6 +544,10 @@ def solve_kinetic_fp(P, store_every=1):
     Axes must be (x periodic, v); Dirichlet 0 at the v boundary.  Mass is
     conserved by transport exactly and by diffusion up to the flux through
     the v boundary; the running mass trace is reported.
+
+    The transport plan and the Thomas factor of I/dt + (v operator) are
+    computed once; each step sweeps a v-major (Nv, Nx) buffer, and the
+    mass trace sums and the history stores its x-major copy.
     """
     if P.kind != "kinetic-fp":
         raise ValueError("expected a kinetic-fp problem")
@@ -514,23 +557,33 @@ def solve_kinetic_fp(P, store_every=1):
         raise ValueError("the kinetic solver is periodic in x; set periodic=True")
     if P.nt < 1 or P.t_final <= 0:
         raise ValueError("need nt >= 1 and t_final > 0")
+    _check_store_every(store_every)
     x_axis, v_axis = P.axes
     pts = _cell_points(P.axes)
     dt = P.t_final / P.nt
     f = _eval(P.initial, pts)
-    lower, diag, upper = _v_step_matrices(P, pts)
     Idt = 1.0 / dt
+    lower, diag, upper = (m.T.copy() for m in _v_step_matrices(P, pts))
+    c, den = _thomas_factor(lower, diag + Idt, upper)
+    plan = _transport_plan(x_axis, v_axis, dt)
+    buf = np.empty((v_axis.n, x_axis.n))
+    gathered = np.empty_like(buf)
+    rows, tmp = list(buf), np.empty(x_axis.n)
+    lower, c, den = list(lower), list(c), list(den)
     mass = [float(f.sum()) * x_axis.h * v_axis.h]
     history = [f.copy()]
     times = [0.0]
     for n in range(P.nt):
-        f = _transport_x(f, x_axis, v_axis, dt)
+        _transport(f, plan, buf, gathered)
         t_new = (n + 1) * dt
-        rhs = f * Idt + P.source_at(t_new, pts)
-        f = _thomas_batched(lower * 1.0, diag + Idt, upper * 1.0, rhs)
+        np.multiply(buf, Idt, out=buf)
+        S = np.broadcast_to(P.source_at(t_new, pts), f.shape)
+        np.add(buf, S.T, out=buf)
+        _thomas_sweep(lower, c, den, rows, tmp)
+        f = buf.T.copy()
         mass.append(float(f.sum()) * x_axis.h * v_axis.h)
         if (n + 1) % store_every == 0 or n == P.nt - 1:
-            history.append(f.copy())
+            history.append(f)
             times.append(t_new)
     info = {"dt": dt, "mass": mass, "times": times, "history": history,
             "mass_drift": mass[-1] - mass[0]}
@@ -542,7 +595,7 @@ def solve_kinetic_fp(P, store_every=1):
             "data_min": lo, "data_max": hi,
             "u_min": float(f.min()), "u_max": float(f.max()),
             "ok": bool(f.min() >= lo - 1e-9 and f.max() <= hi + 1e-9)}
-    return Solution(GridFunction(P.axes, f), info)
+    return Solution(GridFunction(P.axes, f.copy()), info)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,14 @@ def test_parabolic_preserves_constants():
     assert np.abs(sol.u.values - 1.0).max() < 1e-12
 
 
+def _shifted(f, x_axis, v_axis, dt):
+    """The solver's transport step on an x-major array, returned x-major."""
+    out = np.empty(f.shape[::-1])
+    plan = sv._transport_plan(x_axis, v_axis, dt)
+    sv._transport(f, plan, out, np.empty_like(out))
+    return out.T
+
+
 def test_kinetic_transport_exact_at_aligned_shift():
     # with pure transport over one step the semi-Lagrangian update is an
     # exact periodic shift when v dt is a multiple of the cell width
@@ -123,8 +131,12 @@ def test_kinetic_transport_exact_at_aligned_shift():
     rng = np.random.default_rng(5)
     f = rng.random((32, 1))
     dt = 2.0 / 32  # shift of exactly 2 cells at v ~ 1
-    out = sv._transport_x(f.copy(), axes[0], axes[1], dt)
+    out = _shifted(f.copy(), axes[0], axes[1], dt)
     assert np.allclose(out[:, 0], np.roll(f[:, 0], 2), atol=1e-4)
+    # v ~ -1 shifts left by 2 cells, wrapping the first cells to the end
+    axes = [Axis("x", 0, 1, 32), Axis("v", -1.0001, -1, 1)]
+    out = _shifted(f.copy(), axes[0], axes[1], dt)
+    assert np.allclose(out[:, 0], np.roll(f[:, 0], -2), atol=1e-4)
 
 
 def test_kinetic_mass_conservation_and_positivity():
@@ -205,3 +217,128 @@ def test_kinetic_solver_rejects_nonperiodic_x():
                    initial=1.0, t_final=0.1, nt=2)
     with pytest.raises(ValueError, match="periodic"):
         sv.solve_kinetic_fp(P)
+
+
+def test_store_every_must_be_a_positive_int():
+    kin = sv.Problem(kind="kinetic-fp", axes=[Axis("x", -0.5, 0.5, 8),
+                                              Axis("v", -1, 1, 8)],
+                     coefficients=_identity(), initial=1.0, t_final=0.1,
+                     nt=4, periodic=True)
+    par = sv.Problem(kind="parabolic", axes=[Axis("x", -1, 1, 8)],
+                     coefficients=_identity(), initial=1.0, t_final=0.1, nt=4)
+    for solve, P in ((sv.solve_kinetic_fp, kin), (sv.solve_parabolic, par)):
+        for bad in (0, -3, 1.5, 2.0, "2", None, True):
+            with pytest.raises(ValueError, match="store_every"):
+                solve(P, store_every=bad)
+        assert solve(P, store_every=np.int64(3)).info["times"] \
+            == pytest.approx([0.0, 0.075, 0.1])
+
+
+def test_kinetic_drift_must_be_the_v_component():
+    axes = [Axis("x", -0.5, 0.5, 12), Axis("v", -1, 1, 12)]
+    P = sv.Problem(kind="kinetic-fp", axes=axes, coefficients=_identity(),
+                   initial=1.0, drift=lambda p: -p[..., 1:], t_final=0.1,
+                   nt=2, periodic=True)
+    with pytest.raises(ValueError, match="drift"):
+        sv.solve_kinetic_fp(P)
+
+
+# The split step as solve_kinetic_fp took it before the Thomas factor and
+# the transport plan were computed once per solve, kept verbatim as an
+# oracle: the solver must reproduce it bit for bit.
+
+def _transport_x(f, x_axis, v_axis, dt):
+    """Periodic semi-Lagrangian shift f(x, v) <- f(x - v dt, v)."""
+    Nx = x_axis.n
+    s = v_axis.centers() * dt / x_axis.h       # shift in cells, per v column
+    k = np.floor(s).astype(int)
+    w = s - k
+    i = np.arange(Nx)[:, None]
+    j = np.arange(v_axis.n)[None, :]
+    i0 = (i - k[None, :]) % Nx
+    i1 = (i - k[None, :] - 1) % Nx
+    return (1.0 - w)[None, :] * f[i0, j] + w[None, :] * f[i1, j]
+
+
+def _thomas_batched(lower, diag, upper, rhs):
+    """Solve tridiagonal systems batched along axis 0 (one per x column)."""
+    n = diag.shape[1]
+    c = np.zeros_like(diag)
+    d = np.zeros_like(rhs)
+    c[:, 0] = upper[:, 0] / diag[:, 0]
+    d[:, 0] = rhs[:, 0] / diag[:, 0]
+    for j in range(1, n):
+        den = diag[:, j] - lower[:, j] * c[:, j - 1]
+        c[:, j] = upper[:, j] / den
+        d[:, j] = (rhs[:, j] - lower[:, j] * d[:, j - 1]) / den
+    x = np.zeros_like(rhs)
+    x[:, -1] = d[:, -1]
+    for j in range(n - 2, -1, -1):
+        x[:, j] = d[:, j] - c[:, j] * x[:, j + 1]
+    return x
+
+
+def _oracle_kinetic_fp(P, store_every=1):
+    x_axis, v_axis = P.axes
+    pts = sv._cell_points(P.axes)
+    dt = P.t_final / P.nt
+    f = sv._eval(P.initial, pts)
+    lower, diag, upper = sv._v_step_matrices(P, pts)
+    Idt = 1.0 / dt
+    mass = [float(f.sum()) * x_axis.h * v_axis.h]
+    history = [f.copy()]
+    times = [0.0]
+    for n in range(P.nt):
+        f = _transport_x(f, x_axis, v_axis, dt)
+        t_new = (n + 1) * dt
+        rhs = f * Idt + P.source_at(t_new, pts)
+        f = _thomas_batched(lower * 1.0, diag + Idt, upper * 1.0, rhs)
+        mass.append(float(f.sum()) * x_axis.h * v_axis.h)
+        if (n + 1) % store_every == 0 or n == P.nt - 1:
+            history.append(f.copy())
+            times.append(t_new)
+    return f, history, mass, times
+
+
+def _rough_kinetic_problem(nx, nv, nt, seed, **kw):
+    rng = np.random.default_rng(seed)
+    axes = [Axis("x", -0.5, 0.7, nx), Axis("v", -1.3, 1.1, nv)]
+    coef = sv.make_coefficients({"kind": "checkerboard", "lam": 0.2,
+                                 "Lam": 1.0, "tiles": 5}, seed=seed)
+    kw.setdefault("initial", 0.2 + rng.random((nx, nv)))
+    kw.setdefault("source", 0.0)
+    return sv.Problem(kind="kinetic-fp", axes=axes, coefficients=coef,
+                      t_final=0.2, nt=nt, periodic=True, **kw)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("P, store_every", [
+    (_rough_kinetic_problem(40, 24, 9, 1), 1),
+    (_rough_kinetic_problem(24, 40, 9, 2,
+                            drift=lambda p: np.sin(4 * p[..., 0]) - 2 * p[..., 1]), 1),
+    (_rough_kinetic_problem(33, 17, 9, 3,
+                            source=lambda t, p: np.cos(7 * t) * p[..., 0] * p[..., 1]), 1),
+    (_rough_kinetic_problem(32, 20, 11, 4), 3),
+], ids=["checkerboard", "drift", "time-source", "store-every-3"])
+def test_kinetic_solver_reproduces_the_split_step_bit_for_bit(P, store_every):
+    sol = sv.solve_kinetic_fp(P, store_every=store_every)
+    f, history, mass, times = _oracle_kinetic_fp(P, store_every)
+    assert len(sol.info["history"]) == len(history)
+    assert all(_same_bits(a, b) for a, b in zip(sol.info["history"], history))
+    assert sol.info["mass"] == mass
+    assert sol.info["mass_drift"] == mass[-1] - mass[0]
+    assert sol.info["times"] == times
+    assert _same_bits(sol.u.values, f)
+    assert not np.shares_memory(sol.u.values, sol.info["history"][-1])
+    if P.source_free:
+        lo = min(0.0, float(history[0].min()))
+        hi = max(0.0, float(history[0].max()))
+        assert sol.info["max_principle"] == {
+            "data_min": lo, "data_max": hi,
+            "u_min": float(f.min()), "u_max": float(f.max()),
+            "ok": bool(f.min() >= lo - 1e-9 and f.max() <= hi + 1e-9)}
+    else:
+        assert "max_principle" not in sol.info
