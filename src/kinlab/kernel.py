@@ -556,8 +556,10 @@ def adjoint_identity_check(bump, n_quad=(40, 72, 48), out_frac=0.35, band_cells=
     for i, (t, x, v) in enumerate(pts):
         tau = s_f - t
         m = tau >= (band_cells - 0.5) * ds  # cells fully above the analytic band
-        gval = gamma(tau[m], (y_f[m] - x - tau[m] * v)[:, None], (w_f[m] - v)[:, None], 1)
-        lhs[i] = float((gval * k_f[m]).sum()) * vol
+        # s_f is t-major, so these cells are a suffix
+        j = m.size - np.count_nonzero(m)
+        gval = gamma(tau[j:], (y_f[j:] - x - tau[j:] * v)[:, None], (w_f[j:] - v)[:, None], 1)
+        lhs[i] = float((gval * k_f[j:]).sum()) * vol
         lhs[i] += delta * float(bump.transport_plus_lap(np.array(t), np.array([x]), np.array([v])))
         phi_vals[i] = float(bump.value(np.array(t), np.array([x]), np.array([v])))
     num = np.sqrt(np.mean((lhs + phi_vals) ** 2))

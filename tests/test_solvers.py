@@ -342,3 +342,205 @@ def test_kinetic_solver_reproduces_the_split_step_bit_for_bit(P, store_every):
             "ok": bool(f.min() >= lo - 1e-9 and f.max() <= hi + 1e-9)}
     else:
         assert "max_principle" not in sol.info
+
+
+def test_periodic_is_only_the_kinetic_x_torus():
+    axes = [Axis("x", -1, 1, 32), Axis("x", -1, 1, 32)]
+    for kind in ("elliptic", "parabolic"):
+        with pytest.raises(ValueError, match="periodic"):
+            sv.Problem(kind=kind, axes=axes, coefficients=_identity(),
+                       source=1.0, initial=0.0, t_final=0.1, nt=2,
+                       periodic=True)
+
+
+# _DiffusionOperator and the face build of _v_step_matrices as they were
+# before the one face builder and the flux stencil (Dirichlet branch), kept
+# verbatim as an oracle: the operator must reproduce them bit for bit.
+
+class _LoopOperator:
+
+    def __init__(self, axes, A, boundary=0.0):
+        self.axes = axes
+        pts = sv._cell_points(axes)
+        d = len(axes)
+        self.face_coef = []
+        self.bdry_val = []
+        for k, ax in enumerate(axes):
+            a = A.diag_entry(pts, min(k, A.d_mat - 1))
+            # ghost centers half a cell outside the box
+            glo = pts.take([0], axis=k).copy()
+            glo[..., k] = ax.lo - 0.5 * ax.h
+            ghi = pts.take([-1], axis=k).copy()
+            ghi[..., k] = ax.hi + 0.5 * ax.h
+            a_glo = A.diag_entry(glo, min(k, A.d_mat - 1))
+            a_ghi = A.diag_entry(ghi, min(k, A.d_mat - 1))
+            inner = 0.5 * (np.take(a, range(0, ax.n - 1), axis=k)
+                           + np.take(a, range(1, ax.n), axis=k))
+            face = np.concatenate([0.5 * (a_glo + a.take([0], axis=k)), inner,
+                                   0.5 * (a_ghi + a.take([-1], axis=k))], axis=k)
+            self.face_coef.append(face)      # ax.n + 1 faces along axis k
+            self.bdry_val.append((sv._eval(boundary, glo).take(0, axis=k),
+                                  sv._eval(boundary, ghi).take(0, axis=k)))
+
+    def apply(self, u):
+        out = np.zeros_like(u)
+        d = len(self.axes)
+        for k, ax in enumerate(self.axes):
+            h2 = ax.h * ax.h
+            face = self.face_coef[k]
+            pad = [(0, 0)] * d
+            pad[k] = (1, 1)
+            ue = np.pad(u, pad)                             # ghost = 0
+            sl_lo = tuple(slice(None) if i != k else slice(0, ax.n) for i in range(d))
+            sl_c = tuple(slice(None) if i != k else slice(1, ax.n + 1) for i in range(d))
+            sl_hi = tuple(slice(None) if i != k else slice(2, ax.n + 2) for i in range(d))
+            f_lo = face[tuple(slice(None) if i != k else slice(0, ax.n) for i in range(d))]
+            f_hi = face[tuple(slice(None) if i != k else slice(1, ax.n + 1) for i in range(d))]
+            out += (f_lo * (ue[sl_c] - ue[sl_lo]) + f_hi * (ue[sl_c] - ue[sl_hi])) / h2
+        return out
+
+    def boundary_rhs(self):
+        d = len(self.axes)
+        shape = tuple(a.n for a in self.axes)
+        rhs = np.zeros(shape)
+        for k, ax in enumerate(self.axes):
+            h2 = ax.h * ax.h
+            face = self.face_coef[k]
+            g_lo, g_hi = self.bdry_val[k]
+            f_lo = face.take(0, axis=k)
+            f_hi = face.take(-1, axis=k)
+            first = tuple(slice(None) if i != k else 0 for i in range(d))
+            last = tuple(slice(None) if i != k else ax.n - 1 for i in range(d))
+            rhs[first] += f_lo * g_lo / h2
+            rhs[last] += f_hi * g_hi / h2
+        return rhs
+
+    def diagonal(self):
+        d = len(self.axes)
+        shape = tuple(a.n for a in self.axes)
+        diag = np.zeros(shape)
+        for k, ax in enumerate(self.axes):
+            h2 = ax.h * ax.h
+            face = self.face_coef[k]
+            f_lo = face[tuple(slice(None) if i != k else slice(0, ax.n) for i in range(d))]
+            f_hi = face[tuple(slice(None) if i != k else slice(1, ax.n + 1) for i in range(d))]
+            diag += (f_lo + f_hi) / h2
+        return diag
+
+    def boundary_extremes(self):
+        vals = []
+        for pair in self.bdry_val:
+            vals.extend([float(pair[0].min()), float(pair[0].max()),
+                         float(pair[1].min()), float(pair[1].max())])
+        return min(vals), max(vals)
+
+
+def _loop_v_step_matrices(P, pts):
+    x_axis, v_axis = P.axes
+    hv = v_axis.h
+    a = P.coefficients.diag_entry(pts, P.coefficients.d_mat - 1)  # (Nx, Nv)
+    # face coefficients in v, ghost cells half a step outside with same rule
+    lo_pts = pts[:, :1, :].copy()
+    lo_pts[..., 1] = v_axis.lo - 0.5 * hv
+    hi_pts = pts[:, -1:, :].copy()
+    hi_pts[..., 1] = v_axis.hi + 0.5 * hv
+    a_lo = P.coefficients.diag_entry(lo_pts, P.coefficients.d_mat - 1)
+    a_hi = P.coefficients.diag_entry(hi_pts, P.coefficients.d_mat - 1)
+    ae = np.concatenate([a_lo, a, a_hi], axis=1)
+    face = 0.5 * (ae[:, :-1] + ae[:, 1:])            # (Nx, Nv+1)
+    B = np.zeros_like(a)
+    if P.drift is not None:
+        B = sv._eval(P.drift, pts)
+    lower = -face[:, :-1] / hv ** 2 + B / (2.0 * hv)
+    upper = -face[:, 1:] / hv ** 2 - B / (2.0 * hv)
+    diag = (face[:, :-1] + face[:, 1:]) / hv ** 2
+    return lower, diag, upper
+
+
+def _rough_fields(point_dim, d):
+    """Checkerboard, random-piecewise-constant and rotating-anisotropy
+    fields of d x d matrices over points in R^point_dim; the last two are
+    scalar (d = 1) where d x d is not defined for them."""
+    dm = d if d <= 2 else 1
+    yield sv.make_coefficients({"kind": "checkerboard", "lam": 0.2, "Lam": 1.0,
+                                "tiles": 5, "d": d})
+    yield sv.make_coefficients({"kind": "random-piecewise-constant", "lam": 0.3,
+                                "Lam": 1.0, "tiles": 4, "d": dm,
+                                "point_dim": point_dim}, seed=point_dim)
+    yield sv.make_coefficients({"kind": "rotating-anisotropy", "lam": 0.25,
+                                "Lam": 1.0, "d": dm})
+
+
+def _zero_heavy(rng, shape):
+    """Random data with runs of equal neighbours and both signed zeros."""
+    u = np.round(2.0 * rng.standard_normal(shape)) / 2.0
+    u[u == 0.0] = -0.0
+    u.flat[::3] = 0.0
+    return u
+
+
+@pytest.mark.parametrize("axes", [
+    [Axis("x", -1, 1, 37)],
+    [Axis("x", -1, 1, 24), Axis("x", -0.5, 1.5, 31)],
+    [Axis("x", -1, 1, 9), Axis("x", -1, 0.5, 12), Axis("x", 0, 1, 7)],
+], ids=["1d", "2d", "3d"])
+def test_operator_reproduces_the_loop_stencil_bit_for_bit(axes):
+    rng = np.random.default_rng(len(axes))
+    shape = tuple(a.n for a in axes)
+    boundary = lambda p: np.sin(3 * p[..., 0]) + p[..., -1] ** 2
+    for A in _rough_fields(len(axes), len(axes)):
+        op = sv._DiffusionOperator(axes, A, boundary)
+        ref = _LoopOperator(axes, A, boundary)
+        assert all(np.array_equal(f, g) for f, g in zip(op.face_coef, ref.face_coef))
+        assert np.array_equal(op.diagonal(), ref.diagonal())
+        assert np.array_equal(op.boundary_rhs(), ref.boundary_rhs())
+        assert op.boundary_extremes() == ref.boundary_extremes()
+        for u in (rng.standard_normal(shape), _zero_heavy(rng, shape),
+                  np.where(rng.random(shape) < 0.5, 0.0, -0.0)):
+            assert _same_bits(op.apply(u), ref.apply(u))
+
+
+@pytest.mark.parametrize("drift", [None, lambda p: np.sin(4 * p[..., 0]) - 2 * p[..., 1]],
+                         ids=["no-drift", "drift"])
+def test_v_step_matrices_reproduce_the_loop_face_build(drift):
+    for A in _rough_fields(2, 1):
+        P = _rough_kinetic_problem(24, 40, 4, 5, drift=drift)
+        P.coefficients = A
+        pts = sv._cell_points(P.axes)
+        for m, ref in zip(sv._v_step_matrices(P, pts), _loop_v_step_matrices(P, pts)):
+            assert _same_bits(m, ref)
+
+
+def test_a_source_without_t_is_evaluated_once_per_solve():
+    calls = []
+
+    def once(p):
+        calls.append(None)
+        return 0.3 * p[..., -1]
+
+    def per_step(t, p):
+        calls.append(t)
+        return np.cos(7 * t) * p[..., -1]
+
+    par = dict(kind="parabolic", axes=[Axis("x", -1, 1, 16)],
+               coefficients=_identity(0.5), boundary=0.2, t_final=0.1, nt=5,
+               initial=lambda p: np.cos(p[..., 0]))
+    for source, n_calls in ((once, 1), (per_step, 5)):
+        calls.clear()
+        P = sv.Problem(source=source, **par)
+        sol = sv.solve_parabolic(P)
+        assert len(calls) == n_calls
+        op = sv._DiffusionOperator(P.axes, P.coefficients, P.boundary)
+        pts = sv._cell_points(P.axes)
+        u, dt = sv._eval(P.initial, pts), P.t_final / P.nt
+        for n in range(P.nt):       # the time loop evaluating S every step
+            rhs = u / dt + P.source_at((n + 1) * dt, pts) + op.boundary_rhs()
+            u, _ = sv._pcg(op.apply, rhs, op.diagonal(), shift=1.0 / dt)
+        assert _same_bits(sol.u.values, u)
+
+        calls.clear()
+        P = _rough_kinetic_problem(20, 12, 7, 6, source=source)
+        sol = sv.solve_kinetic_fp(P)
+        assert len(calls) == (1 if source is once else 7)
+        f, history, mass, times = _oracle_kinetic_fp(P)
+        assert _same_bits(sol.u.values, f) and sol.info["mass"] == mass
