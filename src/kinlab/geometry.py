@@ -284,10 +284,11 @@ class DistanceConvergenceError(RuntimeError):
         self.gap = gap
 
 
-def _distance_objective(w, dt, dx, v1, v2):
+def _distance_objective(w, dt, dx, v1, v2, a=None):
     # w has shape (..., d); dt broadcastable to the leading shape of w,
-    # dx/v1/v2 broadcastable to w itself
-    a = np.abs(dt) ** 0.5
+    # dx/v1/v2 broadcastable to w itself; a = |dt|^{1/2} when already known
+    if a is None:
+        a = np.abs(dt) ** 0.5
     b = np.linalg.norm(v1 - w, axis=-1)
     c = np.linalg.norm(v2 - w, axis=-1)
     e = 2.0 ** (-1.0 / 3.0) * np.linalg.norm(dx - np.asarray(dt)[..., None] * w,
@@ -295,11 +296,35 @@ def _distance_objective(w, dt, dx, v1, v2):
     return np.maximum(np.maximum(a, b), np.maximum(c, e))
 
 
-def _nm_batch(fun, starts, n_iter=220):
-    """Batched Nelder-Mead over many independent problems of equal dimension.
+def _row_objective(w, consts):
+    """_distance_objective of points w (B, d) or simplex vertices (B, k, d),
+    row b against row b of consts = (a, dt, dx, v1, v2)."""
+    a, dt, dx, v1, v2 = consts
+    if w.ndim == 3:
+        return _distance_objective(w, dt[:, None], dx[:, None, :],
+                                   v1[:, None, :], v2[:, None, :], a=a[:, None])
+    return _distance_objective(w, dt, dx, v1, v2, a=a)
 
-    starts: (B, d) initial points.  Returns (B,) best values and (B,) value
-    spread of the final simplex (an optimality gap indicator).
+
+# Iterations between the fixed-point checks of _nm_batch.
+_FIXED_POINT_EVERY = 4
+
+
+def _nm_batch(starts, consts, n_iter=220):
+    """Batched Nelder-Mead on the distance objective, one problem per row.
+
+    starts: (B, d) initial points; consts: the per-row constants (a, dt, dx,
+    v1, v2) of _distance_objective, a = |dt|^{1/2} of shape (B,), dt (B,),
+    the others (B, d).  Returns (B,) best values and (B,) value spread of the
+    final simplex (an optimality gap indicator) after exactly n_iter
+    iterations; there is no tolerance to stop at.
+
+    Every operation of an iteration acts on one row's own simplex, values and
+    constants, so a row whose state an iteration left bitwise unchanged is at
+    a fixed point: no later iteration changes it.  Every _FIXED_POINT_EVERY
+    iterations such rows are retired (their result written out) and the
+    working arrays and constants are compacted to the rows still moving.
+    The result is bit for bit that of running all rows n_iter iterations.
     """
     B, d = starts.shape
     h = 0.25
@@ -307,27 +332,34 @@ def _nm_batch(fun, starts, n_iter=220):
     for i in range(d):
         step = h * np.maximum(1.0, np.abs(starts[:, i]))
         simplex[:, i + 1, i] += step
-    fvals = fun(simplex)  # (B, d+1)
-    rows = np.arange(B)[:, None]
-    for _ in range(n_iter):
+
+    fvals = _row_objective(simplex, consts)  # (B, d+1)
+    best_val = np.empty(B)
+    gap = np.empty(B)
+    live = np.arange(B)  # the input row of each working row
+    rows = live[:, None]
+    for it in range(1, n_iter + 1):
+        # every step below rebinds simplex and fvals before writing to them,
+        # so the previous state can be held without a copy
+        prev = (simplex, fvals) if it % _FIXED_POINT_EVERY == 0 else None
         order = np.argsort(fvals, axis=1)
         simplex = simplex[rows, order]
         fvals = fvals[rows, order]
         centroid = simplex[:, :-1, :].mean(axis=1)
         worst = simplex[:, -1, :]
         xr = centroid + (centroid - worst)
-        fr = fun(xr)
+        fr = _row_objective(xr, consts)
         better_than_best = fr < fvals[:, 0]
         # expansion
         xe = centroid + 2.0 * (centroid - worst)
-        fe = fun(xe)
+        fe = _row_objective(xe, consts)
         use_e = better_than_best & (fe < fr)
         # contraction (outside for fr < f_worst, inside otherwise)
         reflect_ok = (fr < fvals[:, -2]) & ~better_than_best
         xc_out = centroid + 0.5 * (centroid - worst)
-        fc_out = fun(xc_out)
+        fc_out = _row_objective(xc_out, consts)
         xc_in = centroid - 0.5 * (centroid - worst)
-        fc_in = fun(xc_in)
+        fc_in = _row_objective(xc_in, consts)
         new_pt = np.where(use_e[:, None], xe,
                  np.where((better_than_best & ~use_e)[:, None], xr,
                  np.where(reflect_ok[:, None], xr,
@@ -345,29 +377,57 @@ def _nm_batch(fun, starts, n_iter=220):
             best = simplex[:, 0:1, :]
             shrunk = best + 0.5 * (simplex - best)
             simplex = np.where(shrink[:, None, None], shrunk, simplex)
-            fvals = np.where(shrink[:, None], fun(simplex), fvals)
-    best_val = fvals.min(axis=1)
-    gap = fvals.max(axis=1) - best_val
+            fvals = np.where(shrink[:, None], _row_objective(simplex, consts),
+                             fvals)
+        if prev is None or it == n_iter:
+            continue
+        # compare bit patterns, not values: -0.0 == 0.0
+        done = ((simplex.view(np.int64) == prev[0].view(np.int64)).all(axis=(1, 2))
+                & (fvals.view(np.int64) == prev[1].view(np.int64)).all(axis=1))
+        if done.any():
+            f = fvals[done]
+            lo = f.min(axis=1)
+            best_val[live[done]] = lo
+            gap[live[done]] = f.max(axis=1) - lo
+            keep = ~done
+            simplex, fvals, live = simplex[keep], fvals[keep], live[keep]
+            consts = tuple(c[keep] for c in consts)
+            rows = np.arange(len(live))[:, None]
+            if not len(live):
+                break
+    lo = fvals.min(axis=1)
+    best_val[live] = lo
+    gap[live] = fvals.max(axis=1) - lo
     return best_val, gap
 
 
 def kinetic_distance_batch(t1, x1, v1, t2, x2, v2, tol=1e-9, n_iter=220):
     """Vectorized kinetic distance for arrays of point pairs.
 
-    Arrays: t* shape (B,), x*/v* shape (B, d).  Minimizes over the velocity
-    shift w the objective
+    Arrays: t* shape (B,), x*/v* shape (B, d), also at d = 1; any other
+    shape raises ValueError.  Minimizes over the velocity shift w the
+    objective
 
         max(|t1-t2|^{1/2}, |v1-w|, |v2-w|, 2^{-1/3} |(x1-x2) - (t1-t2) w|^{1/3})
 
-    by multi-start batched Nelder-Mead with starts {v1, v2, midpoint, 0}
-    plus the transport root (x1-x2)/(t1-t2) when defined.
+    by multi-start batched Nelder-Mead (_nm_batch, n_iter iterations, rows
+    retired at a bitwise fixed point) with starts {v1, v2, midpoint, 0} plus
+    the transport root (x1-x2)/(t1-t2) when defined.  tol is accepted and
+    unused: every pair gets the same n_iter iterations per start (ROADMAP
+    item 2 plans a bisection whose bracket width is tol).
     """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
-    x1 = np.atleast_2d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_2d(np.asarray(x2, dtype=float))
-    v1 = np.atleast_2d(np.asarray(v1, dtype=float))
-    v2 = np.atleast_2d(np.asarray(v2, dtype=float))
+    if t1.ndim != 1:
+        raise ValueError(f"t1 must have shape (B,), got shape {t1.shape}")
+    if t2.shape != t1.shape:
+        raise ValueError(f"t2 must have the shape {t1.shape} of t1, got {t2.shape}")
+    x1, v1, x2, v2 = (np.asarray(a, dtype=float) for a in (x1, v1, x2, v2))
+    for name, a in (("x1", x1), ("v1", v1), ("x2", x2), ("v2", v2)):
+        # x1 comes first, so x1.shape[1] is read only once x1 is 2-d
+        if a.ndim != 2 or a.shape != (t1.shape[0], x1.shape[1]):
+            raise ValueError(f"{name} must have shape (B, d), B the length of "
+                             f"t1 and d the width of x1; got shape {a.shape}")
     dt = t1 - t2  # (B,)
     dx = x1 - x2
     dtc = dt[:, None]
@@ -375,17 +435,12 @@ def kinetic_distance_batch(t1, x1, v1, t2, x2, v2, tol=1e-9, n_iter=220):
         transport_root = np.where(dtc != 0.0, dx / np.where(dtc == 0.0, 1.0, dtc),
                                   0.5 * (v1 + v2))
     starts = [v1, v2, 0.5 * (v1 + v2), np.zeros_like(v1), transport_root]
-
-    def fun(w):
-        if w.ndim == 3:  # simplex vertices (B, k, d)
-            return _distance_objective(w, dt[:, None], dx[:, None, :],
-                                       v1[:, None, :], v2[:, None, :])
-        return _distance_objective(w, dt, dx, v1, v2)
+    consts = (np.abs(dt) ** 0.5, dt, dx, v1, v2)
 
     best = np.full(t1.shape, np.inf)
     gap = np.zeros_like(best)
     for s in starts:
-        val, g = _nm_batch(fun, s, n_iter=n_iter)
+        val, g = _nm_batch(s, consts, n_iter=n_iter)
         improved = val < best
         gap = np.where(improved, g, gap)
         best = np.minimum(best, val)

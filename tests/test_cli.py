@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from kinlab import cli
+from kinlab import geometry as geo
 
 
 def _write(tmp_path, name, cfg):
@@ -60,6 +62,19 @@ def test_geometry_small_run_passes(tmp_path):
     assert (outdir / "distance_samples.csv").exists()
     header = (outdir / "distance_samples.csv").read_text().splitlines()[0]
     assert header == "index,distance,sup_norm"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sup_norms_of_differences_equal_the_scalar_group_code(d):
+    rng = np.random.default_rng(d)
+    t1, x1, v1 = cli._random_points(rng, 300, d)
+    t2, x2, v2 = cli._random_points(rng, 300, d)
+    t2[:10], v2[10:20], x2[20:30] = t1[:10], v1[10:20], x1[20:30]
+    got = cli._sup_norms_of_differences(t1, x1, v1, t2, x2, v2)
+    want = np.array([geo.sup_norm(geo.compose(
+        geo.inverse(geo.PhasePoint(t2[i], x2[i], v2[i])),
+        geo.PhasePoint(t1[i], x1[i], v1[i]))) for i in range(300)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_geometry_strict_optimality_tol_fails(tmp_path):

@@ -100,6 +100,206 @@ def test_distance_input_validation():
         geo.kinetic_distance(point(0, 0, 0), point(1, 0, 0), tol=-1.0)
 
 
+# ---------------------------------------------------------------------------
+# Pinning tests: the Nelder-Mead solve before rows were retired at a fixed
+# point, kept verbatim as the oracle the retiring solver must equal bit for bit
+# ---------------------------------------------------------------------------
+
+def _oracle_objective(w, dt, dx, v1, v2):
+    # w has shape (..., d); dt broadcastable to the leading shape of w,
+    # dx/v1/v2 broadcastable to w itself
+    a = np.abs(dt) ** 0.5
+    b = np.linalg.norm(v1 - w, axis=-1)
+    c = np.linalg.norm(v2 - w, axis=-1)
+    e = 2.0 ** (-1.0 / 3.0) * np.linalg.norm(dx - np.asarray(dt)[..., None] * w,
+                                             axis=-1) ** (1.0 / 3.0)
+    return np.maximum(np.maximum(a, b), np.maximum(c, e))
+
+
+def _oracle_nm_batch(fun, starts, n_iter=220):
+    """Batched Nelder-Mead over many independent problems of equal dimension.
+
+    starts: (B, d) initial points.  Returns (B,) best values and (B,) value
+    spread of the final simplex (an optimality gap indicator).
+    """
+    B, d = starts.shape
+    h = 0.25
+    simplex = np.repeat(starts[:, None, :], d + 1, axis=1)
+    for i in range(d):
+        step = h * np.maximum(1.0, np.abs(starts[:, i]))
+        simplex[:, i + 1, i] += step
+    fvals = fun(simplex)  # (B, d+1)
+    rows = np.arange(B)[:, None]
+    for _ in range(n_iter):
+        order = np.argsort(fvals, axis=1)
+        simplex = simplex[rows, order]
+        fvals = fvals[rows, order]
+        centroid = simplex[:, :-1, :].mean(axis=1)
+        worst = simplex[:, -1, :]
+        xr = centroid + (centroid - worst)
+        fr = fun(xr)
+        better_than_best = fr < fvals[:, 0]
+        # expansion
+        xe = centroid + 2.0 * (centroid - worst)
+        fe = fun(xe)
+        use_e = better_than_best & (fe < fr)
+        # contraction (outside for fr < f_worst, inside otherwise)
+        reflect_ok = (fr < fvals[:, -2]) & ~better_than_best
+        xc_out = centroid + 0.5 * (centroid - worst)
+        fc_out = fun(xc_out)
+        xc_in = centroid - 0.5 * (centroid - worst)
+        fc_in = fun(xc_in)
+        new_pt = np.where(use_e[:, None], xe,
+                 np.where((better_than_best & ~use_e)[:, None], xr,
+                 np.where(reflect_ok[:, None], xr,
+                 np.where((fc_out < fr)[:, None], xc_out, xc_in))))
+        new_f = np.where(use_e, fe,
+                np.where(better_than_best & ~use_e, fr,
+                np.where(reflect_ok, fr,
+                np.where(fc_out < fr, fc_out, fc_in))))
+        accept = new_f < fvals[:, -1]
+        simplex[:, -1, :] = np.where(accept[:, None], new_pt, simplex[:, -1, :])
+        fvals[:, -1] = np.where(accept, new_f, fvals[:, -1])
+        # shrink the problems whose trial move failed
+        shrink = ~accept
+        if np.any(shrink):
+            best = simplex[:, 0:1, :]
+            shrunk = best + 0.5 * (simplex - best)
+            simplex = np.where(shrink[:, None, None], shrunk, simplex)
+            fvals = np.where(shrink[:, None], fun(simplex), fvals)
+    best_val = fvals.min(axis=1)
+    gap = fvals.max(axis=1) - best_val
+    return best_val, gap
+
+
+def _oracle_distance_batch(t1, x1, v1, t2, x2, v2, tol=1e-9, n_iter=220):
+    """Vectorized kinetic distance for arrays of point pairs.
+
+    Arrays: t* shape (B,), x*/v* shape (B, d).  Minimizes over the velocity
+    shift w the objective
+
+        max(|t1-t2|^{1/2}, |v1-w|, |v2-w|, 2^{-1/3} |(x1-x2) - (t1-t2) w|^{1/3})
+
+    by multi-start batched Nelder-Mead with starts {v1, v2, midpoint, 0}
+    plus the transport root (x1-x2)/(t1-t2) when defined.
+    """
+    t1 = np.asarray(t1, dtype=float)
+    t2 = np.asarray(t2, dtype=float)
+    x1 = np.atleast_2d(np.asarray(x1, dtype=float))
+    x2 = np.atleast_2d(np.asarray(x2, dtype=float))
+    v1 = np.atleast_2d(np.asarray(v1, dtype=float))
+    v2 = np.atleast_2d(np.asarray(v2, dtype=float))
+    dt = t1 - t2  # (B,)
+    dx = x1 - x2
+    dtc = dt[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        transport_root = np.where(dtc != 0.0, dx / np.where(dtc == 0.0, 1.0, dtc),
+                                  0.5 * (v1 + v2))
+    starts = [v1, v2, 0.5 * (v1 + v2), np.zeros_like(v1), transport_root]
+
+    def fun(w):
+        if w.ndim == 3:  # simplex vertices (B, k, d)
+            return _oracle_objective(w, dt[:, None], dx[:, None, :],
+                                       v1[:, None, :], v2[:, None, :])
+        return _oracle_objective(w, dt, dx, v1, v2)
+
+    best = np.full(t1.shape, np.inf)
+    gap = np.zeros_like(best)
+    for s in starts:
+        val, g = _oracle_nm_batch(fun, s, n_iter=n_iter)
+        improved = val < best
+        gap = np.where(improved, g, gap)
+        best = np.minimum(best, val)
+    return best, gap
+
+
+def _oracle_kinetic_distance(z1, z2, tol):
+    for n_iter in (220, 800, 3000):
+        best, gap = _oracle_distance_batch(
+            np.array([z1.t]), z1.x[None, :], z1.v[None, :],
+            np.array([z2.t]), z2.x[None, :], z2.v[None, :], tol=tol, n_iter=n_iter)
+        val, g = float(best[0]), float(gap[0])
+        if g <= tol:
+            return val
+    raise geo.DistanceConvergenceError(val, g)
+
+
+def _pairs(rng, d, n=48, k=6):
+    """n random pairs; in the first 3k rows dt == 0, v1 == v2, then z1 == z2."""
+    t1, t2 = rng.uniform(-2, 2, (2, n))
+    x1, x2, v1, v2 = rng.uniform(-2, 2, (4, n, d))
+    t2[:k] = t1[:k]
+    v2[k:2 * k] = v1[k:2 * k]
+    s = slice(2 * k, 3 * k)
+    t2[s], x2[s], v2[s] = t1[s], x1[s], v1[s]
+    return t1, x1, v1, t2, x2, v2
+
+
+def _bits(a):
+    return a.view(np.int64)
+
+
+@pytest.mark.parametrize("n_iter", [220, 800])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_distance_batch_equals_the_unretired_solve_bit_for_bit(d, n_iter):
+    args = _pairs(np.random.default_rng(10 * d + n_iter), d)
+    best, gap = geo.kinetic_distance_batch(*args, n_iter=n_iter)
+    ref_best, ref_gap = _oracle_distance_batch(*args, n_iter=n_iter)
+    assert np.array_equal(_bits(best), _bits(ref_best))
+    assert np.array_equal(_bits(gap), _bits(ref_gap))
+    # a single pair, B = 1
+    one = [a[-1:] for a in args]
+    best, gap = geo.kinetic_distance_batch(*one, n_iter=n_iter)
+    ref_best, ref_gap = _oracle_distance_batch(*one, n_iter=n_iter)
+    assert np.array_equal(_bits(best), _bits(ref_best))
+    assert np.array_equal(_bits(gap), _bits(ref_gap))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_scalar_distance_equals_the_unretired_solve(d):
+    rng = np.random.default_rng(20 + d)
+    t1, x1, v1, t2, x2, v2 = _pairs(rng, d, n=8, k=1)
+    for i in range(8):
+        z1 = geo.PhasePoint(t1[i], x1[i], v1[i])
+        z2 = geo.PhasePoint(t2[i], x2[i], v2[i])
+        # at d = 3 two of these pairs need the 800-iteration rung for 1e-12
+        got = geo.kinetic_distance(z1, z2, tol=1e-12)
+        assert _bits(np.float64(got)) == _bits(np.float64(
+            _oracle_kinetic_distance(z1, z2, 1e-12)))
+
+
+def test_fixed_point_rows_are_retired(monkeypatch):
+    calls = []
+    objective = geo._distance_objective
+
+    def counting(w, *args, **kwargs):
+        calls.append(w.shape[0])
+        return objective(w, *args, **kwargs)
+
+    monkeypatch.setattr(geo, "_distance_objective", counting)
+    B, n_iter = 400, 220
+    geo.kinetic_distance_batch(*_pairs(np.random.default_rng(30), 1, n=B),
+                               n_iter=n_iter)
+    # without retirement every one of the 5 starts hands all B rows to the
+    # objective at least 4 times per iteration
+    assert sum(calls) < 0.5 * 5 * B * 4 * n_iter
+
+
+@pytest.mark.parametrize("bad", ["x1", "v1", "x2", "v2"])
+def test_distance_batch_rejects_pairs_not_shaped_b_by_d(bad):
+    t1, x1, v1, t2, x2, v2 = _pairs(np.random.default_rng(40), 1, n=5, k=1)
+    args = dict(t1=t1, x1=x1, v1=v1, t2=t2, x2=x2, v2=v2)
+    # (B,) is one d = B point, not B points of d = 1
+    args[bad] = args[bad][:, 0]
+    with pytest.raises(ValueError, match=bad):
+        geo.kinetic_distance_batch(**args)
+    args[bad] = np.zeros((4, 1))
+    with pytest.raises(ValueError, match=bad):
+        geo.kinetic_distance_batch(**args)
+    with pytest.raises(ValueError, match="t2"):
+        geo.kinetic_distance_batch(t1, x1, v1, t2[:4], x2, v2)
+
+
 def test_cylinder_membership_and_anchoring():
     z0 = point(0.0, 0.0, 1.0)
     Q = geo.KineticCylinder(z0, 0.5)
