@@ -13,7 +13,9 @@ elliptic, parabolic and kinetic v operators share this one rule.
 Elliptic and parabolic problems are Dirichlet on the whole boundary of the
 box; `Problem.periodic` is only the kinetic solver's x torus.  Dirichlet
 data is imposed at ghost cell centers half a cell outside the box, which
-keeps the stencil symmetric and exact on quadratic polynomials.
+keeps the stencil symmetric and exact on quadratic polynomials.  Their
+Jacobi-preconditioned conjugate gradients work in preallocated buffers, so
+an iteration allocates no array.
 
 Time stepping is implicit Euler throughout (no stability constraint).  The
 kinetic solver splits each step into an exact semi-Lagrangian shift
@@ -280,27 +282,51 @@ def _faces(A, pts, axis, k, entry):
 
 class _DiffusionOperator:
     """Matrix-free  u -> -div(diag-face A grad u)  with Dirichlet data at
-    the ghost cells."""
+    the ghost cells.
+
+    `apply` works in flux and term buffers owned by the operator, so one
+    operator must not apply concurrently from two threads.
+    """
 
     def __init__(self, axes, A, boundary=0.0):
         self.axes = axes
         pts = _cell_points(axes)
         self.face_coef = []      # ax.n + 1 faces along axis k
         self.bdry_val = []       # Dirichlet data at the (low, high) ghosts
+        self._flux = []          # per axis: buffer, its views, u's slices
         for k, ax in enumerate(axes):
             self.face_coef.append(_faces(A, pts, ax, k, min(k, A.d_mat - 1)))
             glo, ghi = _ghost_points(pts, ax, k)
             self.bdry_val.append((_eval(boundary, glo).take(0, axis=k),
                                   _eval(boundary, ghi).take(0, axis=k)))
+            head = (slice(None),) * k
+            first, last = head + (slice(None, 1),), head + (slice(-1, None),)
+            below, above = head + (slice(None, -1),), head + (slice(1, None),)
+            buf = np.empty(self.face_coef[-1].shape)
+            inner = head + (slice(1, -1),)
+            self._flux.append((buf, buf[first], buf[inner], buf[last],
+                               buf[below], buf[above], first, last, below, above))
+        self._term = np.empty(pts.shape[:-1])
 
-    def apply(self, u):
-        """-div flux with zero Dirichlet data (the homogeneous part)."""
-        out = np.zeros_like(u)
-        for k, (ax, face) in enumerate(zip(self.axes, self.face_coef)):
-            # flux through each face, the ghost values being 0
-            flux = face * np.diff(u, axis=k, prepend=0.0, append=0.0)
-            lo, hi = _neighbours(flux, k)
-            out += (lo - hi) / (ax.h * ax.h)
+    def apply(self, u, out=None):
+        """-div flux with zero Dirichlet data (the homogeneous part), into
+        out when given (it must not overlap u)."""
+        out = np.empty_like(u) if out is None else out
+        # out starts at +0.0, so it never holds -0.0
+        out.fill(0.0)
+        term = self._term
+        for ax, face, (buf, b_first, b_inner, b_last, lo, hi,
+                       first, last, below, above) in zip(
+                self.axes, self.face_coef, self._flux):
+            # flux through each face, the ghost values being 0: the
+            # subtractions of np.diff with zero padding (0.0 - u, not -u)
+            np.subtract(u[first], 0.0, out=b_first)
+            np.subtract(u[above], u[below], out=b_inner)
+            np.subtract(0.0, u[last], out=b_last)
+            np.multiply(buf, face, out=buf)
+            np.subtract(lo, hi, out=term)
+            np.divide(term, ax.h * ax.h, out=term)
+            np.add(out, term, out=out)
         return out
 
     def boundary_rhs(self):
@@ -329,29 +355,47 @@ class _DiffusionOperator:
 
 
 def _pcg(apply_op, rhs, diag, tol=1e-10, max_iter=20000, shift=0.0):
-    """Jacobi-preconditioned conjugate gradients for (shift I + L) u = rhs."""
+    """Jacobi-preconditioned conjugate gradients for (shift I + L) u = rhs.
+
+    apply_op(p, out=...) writes L p into out.  An iteration allocates
+    nothing: Ap, z and one scratch vector live for the whole solve.  The
+    inner products are pairwise `.sum()`s of full-shape products, as the
+    rounding of the iterates depends on that order.  Raises SolverError
+    at the first non-finite residual and when max_iter iterations do not
+    reach tol.
+    """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     x = np.zeros_like(rhs)
     r = rhs.copy()
     M = 1.0 / (diag + shift)
     z = M * r
     p = z.copy()
-    rz = float((r * z).sum())
+    Ap, tmp = np.empty_like(rhs), np.empty_like(rhs)
+    rz = float(np.multiply(r, z, out=tmp).sum())
     nrhs = float(np.linalg.norm(rhs))
     history = []
     if nrhs == 0.0:
         return x, history
     for it in range(max_iter):
-        Ap = shift * p + apply_op(p)
-        alpha = rz / float((p * Ap).sum())
-        x += alpha * p
-        r -= alpha * Ap
+        apply_op(p, out=Ap)
+        # apply_op never returns -0.0, so adding 0.0 * p would change no bit
+        if shift != 0.0:
+            np.add(np.multiply(shift, p, out=tmp), Ap, out=Ap)
+        alpha = rz / float(np.multiply(p, Ap, out=tmp).sum())
+        x += np.multiply(alpha, p, out=tmp)
+        r -= np.multiply(alpha, Ap, out=tmp)
         res = float(np.linalg.norm(r)) / nrhs
         history.append(res)
         if res <= tol:
             return x, history
-        z = M * r
-        rz_new = float((r * z).sum())
-        p = z + (rz_new / rz) * p
+        if not math.isfinite(res):
+            raise SolverError(f"conjugate gradients hit a non-finite residual "
+                              f"({res}) at iteration {it + 1}", history)
+        np.multiply(M, r, out=z)
+        rz_new = float(np.multiply(r, z, out=tmp).sum())
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise SolverError(f"conjugate gradients stalled at {history[-1]:.3e}", history)
 

@@ -89,6 +89,31 @@ def test_pcg_reports_history_and_stalls():
     sol = sv.solve_elliptic(P)
     hist = sol.info["residual_history"]
     assert hist[-1] <= 1e-10 * max(1.0, hist[0])
+    op = sv._DiffusionOperator(axes, P.coefficients)
+    with pytest.raises(sv.SolverError, match="stalled") as err:
+        sv._pcg(op.apply, np.ones((24, 24)), op.diagonal(), max_iter=3)
+    assert err.value.residual_history == hist[:3]
+
+
+@pytest.mark.parametrize("data", [{"source": np.nan}, {"source": np.inf},
+                                  {"boundary": np.inf}, {"boundary": -np.inf}],
+                         ids=["nan-source", "inf-source", "inf-boundary",
+                              "minus-inf-boundary"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_pcg_stops_at_the_first_non_finite_residual(data):
+    axes = [Axis("x", -1, 1, 64), Axis("x", -1, 1, 64)]
+    P = sv.Problem(kind="elliptic", axes=axes, coefficients=_identity(), **data)
+    with pytest.raises(sv.SolverError, match="non-finite") as err:
+        sv.solve_elliptic(P)
+    hist = err.value.residual_history
+    assert len(hist) == 1 and not np.isfinite(hist[0])
+
+
+def test_pcg_rejects_max_iter_below_one():
+    op = sv._DiffusionOperator([Axis("x", -1, 1, 8)], _identity())
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_iter"):
+            sv._pcg(op.apply, np.ones(8), op.diagonal(), max_iter=bad)
 
 
 def test_parabolic_mode_decay():
@@ -435,6 +460,37 @@ class _LoopOperator:
         return min(vals), max(vals)
 
 
+# _pcg as it was before it worked in preallocated buffers, kept verbatim
+# as an oracle: the solver must reproduce it bit for bit.
+
+def _allocating_pcg(apply_op, rhs, diag, tol=1e-10, max_iter=20000, shift=0.0):
+    """Jacobi-preconditioned conjugate gradients for (shift I + L) u = rhs."""
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    M = 1.0 / (diag + shift)
+    z = M * r
+    p = z.copy()
+    rz = float((r * z).sum())
+    nrhs = float(np.linalg.norm(rhs))
+    history = []
+    if nrhs == 0.0:
+        return x, history
+    for it in range(max_iter):
+        Ap = shift * p + apply_op(p)
+        alpha = rz / float((p * Ap).sum())
+        x += alpha * p
+        r -= alpha * Ap
+        res = float(np.linalg.norm(r)) / nrhs
+        history.append(res)
+        if res <= tol:
+            return x, history
+        z = M * r
+        rz_new = float((r * z).sum())
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise sv.SolverError(f"conjugate gradients stalled at {history[-1]:.3e}", history)
+
+
 def _loop_v_step_matrices(P, pts):
     x_axis, v_axis = P.axes
     hv = v_axis.h
@@ -495,9 +551,33 @@ def test_operator_reproduces_the_loop_stencil_bit_for_bit(axes):
         assert np.array_equal(op.diagonal(), ref.diagonal())
         assert np.array_equal(op.boundary_rhs(), ref.boundary_rhs())
         assert op.boundary_extremes() == ref.boundary_extremes()
+        buf = np.full(shape, np.nan)
         for u in (rng.standard_normal(shape), _zero_heavy(rng, shape),
                   np.where(rng.random(shape) < 0.5, 0.0, -0.0)):
             assert _same_bits(op.apply(u), ref.apply(u))
+            assert op.apply(u, out=buf) is buf      # reused, dirty
+            assert _same_bits(buf, ref.apply(u))
+            buf[::2] = -0.0
+
+
+@pytest.mark.parametrize("axes", [
+    [Axis("x", -1, 1, 37)],
+    [Axis("x", -1, 1, 24), Axis("x", -0.5, 1.5, 31)],
+    [Axis("x", -1, 1, 9), Axis("x", -1, 0.5, 12), Axis("x", 0, 1, 7)],
+], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("shift", [0.0, 1.0 / 0.0125], ids=["elliptic", "parabolic"])
+def test_pcg_reproduces_the_allocating_loop_bit_for_bit(axes, shift):
+    rng = np.random.default_rng(10 + len(axes))
+    shape = tuple(a.n for a in axes)
+    for A in _rough_fields(len(axes), len(axes)):
+        op = sv._DiffusionOperator(axes, A)
+        ref = _LoopOperator(axes, A)
+        diag = op.diagonal()
+        for rhs in (rng.standard_normal(shape), _zero_heavy(rng, shape)):
+            x, history = sv._pcg(op.apply, rhs, diag, shift=shift)
+            x_ref, history_ref = _allocating_pcg(ref.apply, rhs, diag, shift=shift)
+            assert len(history) > 1 and history == history_ref
+            assert _same_bits(x, x_ref)
 
 
 @pytest.mark.parametrize("drift", [None, lambda p: np.sin(4 * p[..., 0]) - 2 * p[..., 1]],
