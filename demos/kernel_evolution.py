@@ -26,7 +26,7 @@ def main():
     for nt in (2, 4, 8):
         P = sv.Problem(kind="kinetic-fp", axes=axes, coefficients=coef,
                        initial=GridFunction(axes, f0), source=0.0,
-                       t_final=T, nt=nt, periodic=True)
+                       t_final=T, nt=nt)
         sol = sv.solve_kinetic_fp(P)
         err = float(np.abs(sol.u.values - exact).sum() / np.abs(exact).sum())
         errs.append(err)

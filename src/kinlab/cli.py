@@ -64,6 +64,35 @@ _SCHEMAS = {
 }
 
 
+# The values each key admits beyond its type: an interval, whose bounds may
+# name another key, or a tuple of choices.  A list key holds integers in its
+# interval, one per interval when it has a list of them.
+_RANGES = {
+    "seed": "[0, inf)", "samples": "[0, inf)", "d": "[1, 3]", "tol": "(0, inf)",
+    "box": "(0, inf)", "base_n": "[1, inf)", "adjoint_quad": ["[2, inf)"] * 3,
+    "young_pairs": "[0, inf)", "instances": "[1, inf)", "n": "[1, inf)",
+    "coefficient": sv._FIELD_KINDS, "lam": "(0, inf)", "Lam": "[lam, inf)",
+    "tiles": "[1, inf)", "k_max": "[0, inf)", "nx": "[1, inf)", "nv": "[1, inf)",
+    "nt": "[1, inf)", "omega": "(0, 1]", "t_final": "(0, inf)",
+    "profile": ("gaussian", "constant"), "families": "[0, inf)",
+    "m": "[1, inf)", "maximal_fields": "[1, inf)",
+    "geometry": ("parabolic", "kinetic"), "ink_spots": "[0, inf)",
+    "m_ink": "[1, inf)", "r0": "(0, 1]",
+}
+
+
+def _admits(value, rule, cfg):
+    if isinstance(rule, tuple):
+        return value in rule
+    if isinstance(value, list):
+        rules = rule if isinstance(rule, list) else [rule] * len(value)
+        return len(value) == len(rules) > 0 and all(
+            type(v) is int and _admits(v, r, cfg) for v, r in zip(value, rules))
+    lo, hi = (cfg[b] if b in cfg else float(b) for b in rule[1:-1].split(", "))
+    return ((lo < value) if rule[0] == "(" else (lo <= value)) and (
+        (value < hi) if rule[-1] == ")" else (value <= hi))
+
+
 def load_config(path, command):
     if command not in _SCHEMAS:
         raise ConfigError(f"unknown command {command!r}")
@@ -91,6 +120,9 @@ def load_config(path, command):
                               f"got {json.dumps(value)}")
     cfg = dict(schema)
     cfg.update(raw)
+    for key, value in cfg.items():
+        if key in _RANGES and not _admits(value, _RANGES[key], cfg):
+            raise ConfigError(f"{key} must be in {_RANGES[key]}, got {json.dumps(value)}")
     return cfg
 
 
@@ -142,8 +174,6 @@ def cmd_verify_geometry(cfg, jobs, outdir):
         warnings.append("samples=0: all geometry suites are vacuous")
         records.append({"check": "vacuous", "passed": True})
         return records, warnings, []
-    if d > 3:
-        raise ConfigError("d must be at most 3")
 
     # group axioms on random triples
     ok = True
@@ -269,7 +299,7 @@ def cmd_verify_kernel(cfg, jobs, outdir):
                  list(zip(hs, [r.max_residual for r in reps]))))
 
     if d == 1:
-        bump = ker.Bump(t0=0.6, rt=0.45, x0=(0.0,), rx=0.8, v0=(0.0,), rv=0.8)
+        bump = ker.Bump(centers=(0.6, 0.0, 0.0), widths=(0.45, 0.8, 0.8))
         rep = ker.adjoint_identity_check(bump, n_quad=tuple(cfg["adjoint_quad"]))
         records.append({"check": "adjoint_identity",
                         "passed": bool(rep.rel_error < cfg["adjoint_threshold"]),
@@ -303,7 +333,7 @@ def _holder_instance(i, cfg):
     n, b = cfg["n"], cfg["box"]
     axes = [Axis("x", -b, b, n), Axis("x", -b, b, n)]
     spec = {"kind": cfg["coefficient"], "lam": cfg["lam"], "Lam": cfg["Lam"],
-            "tiles": cfg["tiles"]}
+            "tiles": cfg["tiles"], "point_dim": 2}
     coef = sv.make_coefficients(spec, seed=cfg["seed"] + i)
     a0, a1, a2 = rng.uniform(-1, 1, 3)
     P = sv.Problem(kind="elliptic", axes=axes, coefficients=coef,
@@ -354,20 +384,18 @@ def _harnack_instance(i, cfg):
         times = list(np.linspace(0.0, cfg["t_final"], cfg["nt"] + 1))
         sol = sv.Solution(GridFunction(axes, hist[-1]),
                           {"history": hist, "times": times})
-    elif cfg["profile"] == "gaussian":
+    else:
         rng = np.random.default_rng(cfg["seed"] + 1000 * i)
         xc = rng.uniform(-0.2, 0.2)
         vc = rng.uniform(-0.3, 0.3)
         f0 = cfg["floor"] + np.exp(-8 * (X - xc) ** 2 - 4 * (V - vc) ** 2)
         spec = {"kind": cfg["coefficient"], "lam": cfg["lam"],
-                "Lam": cfg["Lam"], "tiles": cfg["tiles"]}
+                "Lam": cfg["Lam"], "tiles": cfg["tiles"], "point_dim": 2}
         coef = sv.make_coefficients(spec, seed=cfg["seed"] + i)
         P = sv.Problem(kind="kinetic-fp", axes=axes, coefficients=coef,
                        initial=GridFunction(axes, f0), source=0.0,
-                       t_final=cfg["t_final"], nt=cfg["nt"], periodic=True)
+                       t_final=cfg["t_final"], nt=cfg["nt"])
         sol = sv.solve_kinetic_fp(P)
-    else:
-        raise ConfigError(f"unknown profile {cfg['profile']!r}")
     rep = dg.harnack_quotient(sol, omega=cfg["omega"])
     return i, rep
 
@@ -405,8 +433,6 @@ def cmd_covering(cfg, jobs, outdir):
     records, csvs = [], []
     warnings = []
     geometry = cfg["geometry"]
-    if geometry not in ("parabolic", "kinetic"):
-        raise ConfigError("geometry must be 'parabolic' or 'kinetic'")
 
     # interval stacking sweep
     fails = 0

@@ -21,8 +21,7 @@ from scipy import ndimage
 
 from .gridfn import Axis, GridFunction
 from .geometry import (EuclideanBall, KineticCylinder, ParabolicCylinder,
-                       PhasePoint, StackedCylinder, cylinder_mask, dilate_5Q,
-                       origin)
+                       StackedCylinder, _cylinder_at, cylinder_mask, dilate_5Q)
 
 __all__ = [
     "CylinderFamily", "IntervalFamily", "RasterMask", "regions_intersect",
@@ -56,9 +55,6 @@ class CylinderFamily:
     @property
     def kind(self):
         return _KINDS[type(self.members[0])] if self.members else None
-
-    def radii(self):
-        return np.array([q.radius for q in self.members])
 
 
 @dataclass
@@ -469,12 +465,6 @@ def _stack_cells(axes, centers, base, m):
     return sl, cylinder_mask(StackedCylinder(base, m), np.ix_(*coords))
 
 
-def _family_cylinder(geometry, anchor, r):
-    if geometry == "parabolic":
-        return ParabolicCylinder(anchor[0], [anchor[1]], r)
-    return KineticCylinder(PhasePoint(anchor[0], [anchor[1]], [anchor[2]]), r)
-
-
 @dataclass
 class InkSpotsReport:
     measure_E: float
@@ -488,12 +478,6 @@ class InkSpotsReport:
     hypothesis_ok: bool
     violations: list
     family: dict
-
-
-def _q1(geometry, d):
-    if geometry == "parabolic":
-        return ParabolicCylinder(0.0, np.zeros(d), 1.0)
-    return KineticCylinder(origin(d), 1.0)
 
 
 def _anchor_admissible(mask_obj, geometry, d, r):
@@ -559,7 +543,7 @@ def ink_spots_check(E, F, geometry, m, r0, mu=0.5, k_cap=6, stack_check_cap=200,
     if E.axes != F.axes:
         raise ValueError("E and F must share a lattice")
     vol = E.cell_volume
-    q1 = E.rasterize(_q1(geometry, d))
+    q1 = E.rasterize(_cylinder_at((0.0, 0.0, 0.0), 1.0, geometry))
     if np.any(E.mask & ~F.mask) or np.any(E.mask & ~q1):
         raise ValueError("precondition E subset of F cap Q1 violated")
     measure_E = E.measure()
@@ -589,7 +573,7 @@ def ink_spots_check(E, F, geometry, m, r0, mu=0.5, k_cap=6, stack_check_cap=200,
     centers = [a.centers() for a in E.axes]
     for r, idx in check:
         anchor = [c[i] for c, i in zip(centers, idx)]
-        base = _family_cylinder(geometry, anchor, r)
+        base = _cylinder_at(anchor, r, geometry)
         sl, stack_cells = _stack_cells(E.axes, centers, base, m)
         missing = stack_cells & ~F.mask[sl]
         if missing.any():
@@ -630,13 +614,12 @@ def synthesize_ink_spots_instance(geometry, m, r0, rng, cells_per_unit=96,
         r = small[int(rng.integers(len(small)))] * float(rng.uniform(0.8, 1.0))
         t0 = float(rng.uniform(-0.9 + r * r, -0.05))
         if geometry == "parabolic":
-            x0 = float(rng.uniform(-0.9 + r, 0.9 - r))
-            E.add(ParabolicCylinder(t0, [x0], r))
+            anchor = (t0, float(rng.uniform(-0.9 + r, 0.9 - r)))
         else:
             v0 = float(rng.uniform(-0.9 + r, 0.9 - r))
-            x0 = float(rng.uniform(-0.8, 0.8))
-            E.add(KineticCylinder(PhasePoint(t0, [x0], [v0]), r))
-    E.mask &= E.rasterize(_q1(geometry, d))
+            anchor = (t0, float(rng.uniform(-0.8, 0.8)), v0)
+        E.add(_cylinder_at(anchor, r, geometry))
+    E.mask &= E.rasterize(_cylinder_at((0.0, 0.0, 0.0), 1.0, geometry))
 
     F = RasterMask(E.axes, E.mask.copy())
     lattice = _lattice_mask(E.mask.shape, stride)
@@ -649,7 +632,7 @@ def synthesize_ink_spots_instance(geometry, m, r0, rng, cells_per_unit=96,
             continue
         for idx in _hot_anchors(vals, E, geometry, d, r, mu, lattice):
             anchor = [c[i] for c, i in zip(centers, idx)]
-            base = _family_cylinder(geometry, anchor, r)
+            base = _cylinder_at(anchor, r, geometry)
             sl, cells = _stack_cells(E.axes, centers, base, m)
             F.mask[sl] |= cells
     return E, F

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfn import GridFunction
-from .geometry import (EuclideanBall, KineticCylinder, ParabolicCylinder,
-                       PhasePoint, cylinder_mask)
+from .geometry import (EuclideanBall, ParabolicCylinder, PhasePoint,
+                       _cylinder_at, cylinder_mask, kinetic_distance)
 
 __all__ = [
     "truncate", "caccioppoli_report", "iterate_lemma", "oscillation_profile",
@@ -96,11 +96,6 @@ def _trajectory(sol, scale=None):
     dtau = tau[1] - tau[0] if len(tau) > 1 else 0.0
     return _Trajectory(hist, times, tau, np.ix_(*sol.u.centers()),
                        sol.u.cell_volume, dtau)
-
-
-def _kinetic_cylinder(center, r):
-    t0, x0, v0 = center
-    return KineticCylinder(PhasePoint(t0, [x0], [v0]), r)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +327,7 @@ def oscillation_profile(u, center, k_max=6, geometry="elliptic", r0=None):
         else:
             resolved = (r * r >= 2.0 * hs[0] and r ** 3 >= 2.0 * hs[1]
                         and r >= 2.0 * hs[2])
-            Q = _kinetic_cylinder(center, r)
+            Q = _cylinder_at(center, r)
         m = cylinder_mask(Q, grids, pad)
         if not resolved or m.sum() < 8:
             dropped.append(r)
@@ -384,7 +379,6 @@ def holder_consistency(u, profile, n_pairs=200, geometry="elliptic", rng=None,
         elif geometry == "elliptic":
             dist = float(np.linalg.norm(np.subtract(z1, z2)))
         else:
-            from .geometry import kinetic_distance
             dist = kinetic_distance(PhasePoint(z1[0], [z1[1]], [z1[2]]),
                                     PhasePoint(z2[0], [z2[1]], [z2[2]]))
         if dist < 2.0 * hmax:
@@ -425,8 +419,8 @@ def harnack_quotient(sol, omega=0.25, p=None, source_norm=0.0):
     if min(h.min() for h in tr.history) <= 0:
         raise ValueError("harnack quotient needs a positive solution")
     # cylinders live in the scaled time variable; x, v stay in grid units
-    past = _kinetic_cylinder((-1.0 + omega ** 2, 0.0, 0.0), omega)
-    future = _kinetic_cylinder((0.0, 0.0, 0.0), omega)
+    past = _cylinder_at((-1.0 + omega ** 2, 0.0, 0.0), omega)
+    future = _cylinder_at((0.0, 0.0, 0.0), omega)
     sup_past, inf_future = -math.inf, math.inf
     acc, cells = 0.0, 0
     for f, m in zip(tr.history, tr.masks(past)):
@@ -458,8 +452,8 @@ def expansion_experiment(solutions, eta0=0.5, source_eps=1e-2):
     instances satisfying the hypothesis.
     """
     table = []
-    pos = _kinetic_cylinder((-1.0, 0.0, 0.0), eta0)
-    q1 = _kinetic_cylinder((0.0, 0.0, 0.0), 1.0)
+    pos = _cylinder_at((-1.0, 0.0, 0.0), eta0)
+    q1 = _cylinder_at((0.0, 0.0, 0.0), 1.0)
     for sol in solutions:
         # scale the stored trajectory onto (-1 - eta0^2, 0] so the positivity
         # cylinder anchored at -1 sits fully inside the data
@@ -519,8 +513,8 @@ def intermediate_value_stats(u, geometry="elliptic", theta=0.25, eta=0.5,
         # Q_eta(-1 - eta^2, 0, 0) lies inside the data
         tr = _trajectory(u, scale=1.0 + 2.0 * eta ** 2)
         vol = tr.vol * (tr.times[-1] - tr.times[0]) * tr.dtau
-        qm = _kinetic_cylinder((-1.0 - eta ** 2, 0.0, 0.0), eta)
-        qp = _kinetic_cylinder((0.0, 0.0, 0.0), 1.0)
+        qm = _cylinder_at((-1.0 - eta ** 2, 0.0, 0.0), eta)
+        qp = _cylinder_at((0.0, 0.0, 0.0), 1.0)
         low = high = mid = 0.0
         qm_cells = qp_cells = 0
         gsq_acc = 0.0
@@ -595,7 +589,7 @@ def dg_membership(sol, P, samples, p_c=None, slack=0.0, sign="plus"):
         tr = _trajectory(sol)
         pts = tr.points()
         for (z0, r, R, kappa) in samples:
-            Qr, QR = _kinetic_cylinder(z0, r), _kinetic_cylinder(z0, R)
+            Qr, QR = _cylinder_at(z0, r), _cylinder_at(z0, R)
             lhs_acc = rhs_acc = src_acc = 0.0
             for i, (f, mr, mR) in enumerate(zip(tr.history, tr.masks(Qr), tr.masks(QR))):
                 w = truncate(f, kappa, sign)

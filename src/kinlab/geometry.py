@@ -184,6 +184,13 @@ def stack(Q, m):
     return StackedCylinder(Q, m)
 
 
+def _cylinder_at(anchor, r, geometry="kinetic"):
+    """The d = 1 cylinder of radius r at a flat anchor (t, x) or (t, x, v)."""
+    if geometry == "parabolic":
+        return ParabolicCylinder(anchor[0], [anchor[1]], r)
+    return KineticCylinder(PhasePoint(anchor[0], [anchor[1]], [anchor[2]]), r)
+
+
 def _sq_dist(coords, center, shift=None):
     """Sum over k of (coords[k] - center[k] - shift[k])^2, in that order."""
     if shift is None:
@@ -414,7 +421,7 @@ def kinetic_distance_batch(t1, x1, v1, t2, x2, v2, tol=1e-9, n_iter=220):
     retired at a bitwise fixed point) with starts {v1, v2, midpoint, 0} plus
     the transport root (x1-x2)/(t1-t2) when defined.  tol is accepted and
     unused: every pair gets the same n_iter iterations per start (ROADMAP
-    item 2 plans a bisection whose bracket width is tol).
+    item 1 plans a bisection whose bracket width is tol).
     """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)

@@ -33,13 +33,6 @@ __all__ = [
 ]
 
 
-def _vec(x, d):
-    a = np.asarray(x, dtype=float)
-    if a.ndim == 0:
-        a = a[None]
-    return np.broadcast_to(a, a.shape[:-1] + (d,)) if a.shape[-1] == d else a
-
-
 def _log_gamma1(x, v, d):
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -452,51 +445,46 @@ def _psi_log_d2(u):
 
 @dataclass(frozen=True)
 class Bump:
-    """Separable C_c^infinity bump psi((t-t0)/rt) prod psi((x-x0)/rx) psi((v-v0)/rv)."""
-    t0: float
-    rt: float
-    x0: tuple
-    rx: float
-    v0: tuple
-    rv: float
+    """Separable C_c^infinity bump prod_k psi((z_k - centers[k]) / widths[k]).
 
-    @property
-    def d(self):
-        return len(self.x0)
+    `coords` is a sequence of broadcastable coordinate arrays, one per
+    factor; in phase space the order is (t, x_1..x_d, v_1..v_d).
+    """
+    centers: tuple
+    widths: tuple
 
-    def _factors(self, t, x, v):
-        ut = (np.asarray(t, dtype=float) - self.t0) / self.rt
-        ux = (np.asarray(x, dtype=float) - np.asarray(self.x0)) / self.rx
-        uv = (np.asarray(v, dtype=float) - np.asarray(self.v0)) / self.rv
-        return ut, ux, uv
+    def _scaled(self, coords):
+        return [(np.asarray(z, dtype=float) - c) / w
+                for z, c, w in zip(coords, self.centers, self.widths)]
 
-    def value(self, t, x, v):
-        ut, ux, uv = self._factors(t, x, v)
-        val = _psi(ut)
-        for k in range(self.d):
-            val = val * _psi(ux[..., k]) * _psi(uv[..., k])
-        return val
+    def value(self, coords):
+        # math.prod multiplies in coordinate order after its exact start 1
+        return math.prod(_psi(u) for u in self._scaled(coords))
 
-    def transport_plus_lap(self, t, x, v):
+    def partial(self, coords, k):
+        """d phi / d z_k, analytically."""
+        return math.prod(_psi_d1(u) / self.widths[j] if j == k else _psi(u)
+                         for j, u in enumerate(self._scaled(coords)))
+
+    def transport_plus_lap(self, coords):
         """(d_t + v . grad_x + lap_v) phi, analytically."""
-        ut, ux, uv = self._factors(t, x, v)
-        val = self.value(t, x, v)
+        u = self._scaled(coords)
+        w = self.widths
+        d = (len(u) - 1) // 2
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lt = np.where(np.abs(ut) < 1.0, _psi_log_d1(ut), 0.0) / self.rt
-            lx = np.where(np.abs(ux) < 1.0, _psi_log_d1(ux), 0.0) / self.rx
-            lv1 = np.where(np.abs(uv) < 1.0, _psi_log_d1(uv), 0.0) / self.rv
-            lv2 = np.where(np.abs(uv) < 1.0,
-                           _psi_log_d2(uv) / self.rv ** 2 + (_psi_log_d1(uv) / self.rv) ** 2,
-                           0.0)
-        out = lt.copy()
-        for k in range(self.d):
-            out = out + np.asarray(v)[..., k] * lx[..., k] + lv2[..., k]
-        return out * val
+            out = np.where(np.abs(u[0]) < 1.0, _psi_log_d1(u[0]), 0.0) / w[0]
+            for k in range(1, d + 1):
+                ux, uv, rv = u[k], u[d + k], w[d + k]
+                lx = np.where(np.abs(ux) < 1.0, _psi_log_d1(ux), 0.0) / w[k]
+                lv2 = np.where(np.abs(uv) < 1.0,
+                               _psi_log_d2(uv) / rv ** 2 + (_psi_log_d1(uv) / rv) ** 2,
+                               0.0)
+                out = out + np.asarray(coords[d + k]) * lx + lv2
+        return out * self.value(coords)
 
     def support_box(self):
-        lo = [self.t0 - self.rt] + [c - self.rx for c in self.x0] + [c - self.rv for c in self.v0]
-        hi = [self.t0 + self.rt] + [c + self.rx for c in self.x0] + [c + self.rv for c in self.v0]
-        return np.array(lo), np.array(hi)
+        c, w = np.asarray(self.centers), np.asarray(self.widths)
+        return c - w, c + w
 
 
 @dataclass
@@ -507,8 +495,7 @@ class AdjointReport:
     band_width: float
 
 
-def adjoint_identity_check(bump, n_quad=(40, 72, 48), out_frac=0.35, band_cells=3,
-                           box=None):
+def adjoint_identity_check(bump, n_quad=(40, 72, 48), out_frac=0.35, band_cells=3):
     """Verify that the backward kernel convolved with (d_t + v.grad_x + lap_v) phi
     reproduces -phi.
 
@@ -519,15 +506,10 @@ def adjoint_identity_check(bump, n_quad=(40, 72, 48), out_frac=0.35, band_cells=
     Returns the relative error over output points in the early part of the
     bump's support; the error must decrease under quadrature refinement.
     """
-    d = bump.d
-    if d != 1:
+    if len(bump.centers) != 3:
         raise NotImplementedError("quadrature implemented at d=1 desk scale")
     lo, hi = bump.support_box()
-    if box is None:
-        box = (lo - 1e-9, hi + 1e-9)
-    blo, bhi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
-    if np.any(lo < blo) or np.any(hi > bhi):
-        raise ValueError("bump support touches or exceeds the quadrature box")
+    blo, bhi = lo - 1e-9, hi + 1e-9
     nt, nx, nv = n_quad
     ax_t = Axis("t", blo[0], bhi[0], nt)
     ax_x = Axis("x", blo[1], bhi[1], nx)
@@ -537,7 +519,7 @@ def adjoint_identity_check(bump, n_quad=(40, 72, 48), out_frac=0.35, band_cells=
     xs = ax_x.centers()
     vs = ax_v.centers()
     S, Y, W = np.meshgrid(ts, xs, vs, indexing="ij")
-    K = bump.transport_plus_lap(S, Y[..., None], W[..., None])
+    K = bump.transport_plus_lap((S, Y, W))
     vol = ds * ax_x.h * ax_v.h
     s_f = S.ravel(); y_f = Y.ravel(); w_f = W.ravel(); k_f = K.ravel()
     keep = k_f != 0.0
@@ -560,8 +542,8 @@ def adjoint_identity_check(bump, n_quad=(40, 72, 48), out_frac=0.35, band_cells=
         j = m.size - np.count_nonzero(m)
         gval = gamma(tau[j:], (y_f[j:] - x - tau[j:] * v)[:, None], (w_f[j:] - v)[:, None], 1)
         lhs[i] = float((gval * k_f[j:]).sum()) * vol
-        lhs[i] += delta * float(bump.transport_plus_lap(np.array(t), np.array([x]), np.array([v])))
-        phi_vals[i] = float(bump.value(np.array(t), np.array([x]), np.array([v])))
+        lhs[i] += delta * float(bump.transport_plus_lap((t, x, v)))
+        phi_vals[i] = float(bump.value((t, x, v)))
     num = np.sqrt(np.mean((lhs + phi_vals) ** 2))
     den = np.sqrt(np.mean(phi_vals ** 2))
     return AdjointReport(float(num / den), (nt, nx, nv), len(pts), delta)

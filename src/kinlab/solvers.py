@@ -11,7 +11,7 @@ coefficient is the arithmetic mean of the diagonal coefficient entry in the
 two adjacent cells, applied to the face-normal difference quotient; the
 elliptic, parabolic and kinetic v operators share this one rule.
 Elliptic and parabolic problems are Dirichlet on the whole boundary of the
-box; `Problem.periodic` is only the kinetic solver's x torus.  Dirichlet
+box; kinetic problems are periodic in x and Dirichlet 0 in v.  Dirichlet
 data is imposed at ghost cell centers half a cell outside the box, which
 keeps the stencil symmetric and exact on quadratic polynomials.  Their
 Jacobi-preconditioned conjugate gradients work in preallocated buffers, so
@@ -33,13 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gridfn import Axis, GridFunction
-from .kernel import _psi, _psi_d1
+from .kernel import Bump
 
 __all__ = [
     "CoefficientField", "Problem", "Solution", "SolverError",
     "make_coefficients", "solve_elliptic", "solve_parabolic",
     "solve_kinetic_fp", "residual_check", "operator_symmetry_check",
-    "TensorBump", "default_bumps",
+    "default_bumps",
 ]
 
 
@@ -174,17 +174,10 @@ class Problem:
     drift: object = None           # d = 1 v-component B(pts) -> pts.shape[:-1]
     t_final: float = 0.0
     nt: int = 0
-    periodic: bool = False         # kinetic-fp x torus (required); Dirichlet kinds reject it
-    v_boundary: str = "dirichlet0"
 
     def __post_init__(self):
         if self.kind not in ("elliptic", "parabolic", "kinetic-fp"):
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        if self.kind == "kinetic-fp" and self.v_boundary not in ("dirichlet0",):
-            raise ValueError("kinetic v boundary must be dirichlet0")
-        if self.periodic and self.kind != "kinetic-fp":
-            raise ValueError(f"periodic is the kinetic x torus; {self.kind} "
-                             f"problems are Dirichlet, set periodic=False")
         self._source_takes_t = callable(self.source) and _requires_two_args(self.source)
 
     @property
@@ -524,12 +517,10 @@ def _v_step_matrices(P, pts):
     hv = v_axis.h
     face = _faces(P.coefficients, pts, v_axis, 1, P.coefficients.d_mat - 1)
     shape = pts.shape[:-1]                            # (Nx, Nv)
-    B = np.zeros(shape)
-    if P.drift is not None:
-        B = _eval(P.drift, pts)
-        if B.shape != shape:
-            raise ValueError(f"drift must return the v-component, shape "
-                             f"{shape} on these points; got {B.shape}")
+    B = _eval(P.drift, pts)                           # no drift: zeros
+    if B.shape != shape:
+        raise ValueError(f"drift must return the v-component, shape "
+                         f"{shape} on these points; got {B.shape}")
     # -div_v(a d_v f) - B d_v f on the column; central drift difference
     lower = -face[:, :-1] / hv ** 2 + B / (2.0 * hv)
     upper = -face[:, 1:] / hv ** 2 - B / (2.0 * hv)
@@ -578,8 +569,6 @@ def solve_kinetic_fp(P, store_every=1):
         raise ValueError("expected a kinetic-fp problem")
     if len(P.axes) != 2 or P.axes[0].role != "x" or P.axes[1].role != "v":
         raise ValueError("kinetic axes must be (x, v) at d = 1")
-    if not P.periodic:
-        raise ValueError("the kinetic solver is periodic in x; set periodic=True")
     if P.nt < 1 or P.t_final <= 0:
         raise ValueError("need nt >= 1 and t_final > 0")
     _check_store_every(store_every)
@@ -623,39 +612,16 @@ def solve_kinetic_fp(P, store_every=1):
 # Weak-form residual checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TensorBump:
-    """Product of 1-D bumps, one factor per coordinate; centers c, widths w."""
-    centers: np.ndarray
-    widths: np.ndarray
-
-    def value(self, pts):
-        u = (np.asarray(pts) - self.centers) / self.widths
-        out = np.ones(u.shape[:-1])
-        for k in range(u.shape[-1]):
-            out *= _psi(u[..., k])
-        return out
-
-    def partial(self, pts, k):
-        u = (np.asarray(pts) - self.centers) / self.widths
-        out = np.ones(u.shape[:-1])
-        for i in range(u.shape[-1]):
-            f = _psi_d1(u[..., i]) / self.widths[i] if i == k else _psi(u[..., i])
-            out *= f
-        return out
-
-
 def default_bumps(bounds, n=5, seed=0):
     """A battery of bumps supported strictly inside the given box."""
     rng = np.random.default_rng(seed)
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    lo, hi = np.array(bounds, dtype=float).T
     span = hi - lo
     bumps = []
     for _ in range(n):
         w = span * rng.uniform(0.15, 0.3, size=len(bounds))
         c = rng.uniform(lo + 1.05 * w, hi - 1.05 * w)
-        bumps.append(TensorBump(c, w))
+        bumps.append(Bump(tuple(c), tuple(w)))
     return bumps
 
 
@@ -696,7 +662,7 @@ def residual_check(sol, P, bumps=None, n_bumps=5, seed=0):
         S = P.source_at(0.0, pts)
         vol = sol.u.cell_volume
         for b in bumps:
-            phi = b.value(pts)
+            phi = b.value(np.moveaxis(pts, -1, 0))
             r = _face_grad_sum(sol.u.values, phi, op.face_coef, axes)
             r -= float((S * phi).sum()) * vol
             per_bump.append(r)
@@ -711,17 +677,16 @@ def residual_check(sol, P, bumps=None, n_bumps=5, seed=0):
         pts = _cell_points(P.axes)
         fa = _faces(P.coefficients, pts, v_axis, 1,
                     P.coefficients.d_mat - 1)[:, 1:-1]     # interior faces
-        B = _eval(P.drift, pts) if P.drift is not None else np.zeros(pts.shape[:-1])
+        B = _eval(P.drift, pts)
         source = _source_in_time(P, pts)
         vol = x_axis.h * v_axis.h
-        V = pts[..., 1]
+        X, V = pts[..., 0], pts[..., 1]
         for b in bumps:
             acc = 0.0
             for idx, (t, f) in enumerate(zip(times, hist)):
-                tp = np.concatenate([np.full(pts.shape[:-1] + (1,), t), pts], axis=-1)
-                phi = b.value(tp)
-                dtphi = b.partial(tp, 0)
-                dxphi = b.partial(tp, 1)
+                phi = b.value((t, X, V))
+                dtphi = b.partial((t, X, V), 0)
+                dxphi = b.partial((t, X, V), 1)
                 term = -float((f * (dtphi + V * dxphi)).sum()) * vol
                 dvf = np.diff(f, axis=1) / v_axis.h
                 dvp = np.diff(phi, axis=1) / v_axis.h

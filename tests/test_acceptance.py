@@ -60,7 +60,7 @@ def test_criterion_02_kolmogorov_residual_order():
 
 
 def test_criterion_03_adjoint_identity():
-    bump = ker.Bump(0.6, 0.45, (0.0,), 0.8, (0.0,), 0.8)
+    bump = ker.Bump((0.6, 0.0, 0.0), (0.45, 0.8, 0.8))
     coarse = ker.adjoint_identity_check(bump, n_quad=(40, 72, 48))
     fine = ker.adjoint_identity_check(bump, n_quad=(80, 144, 96))
     ok = fine.rel_error < coarse.rel_error and fine.rel_error < 0.02
@@ -219,7 +219,7 @@ def test_criterion_10_kernel_evolution():
                        coefficients=sv.make_coefficients(
                            {"kind": "identity", "lam": 1, "Lam": 1}),
                        initial=GridFunction(axes, f0), source=0.0,
-                       t_final=T, nt=nt, periodic=True)
+                       t_final=T, nt=nt)
         sol = sv.solve_kinetic_fp(P)
         errs.append(float(np.abs(sol.u.values - exact).sum() /
                           np.abs(exact).sum()))
@@ -287,7 +287,7 @@ def _rough_kinetic_instance(i, nx, nv, nt):
                                  "Lam": 1.0, "tiles": 8}, seed=i)
     P = sv.Problem(kind="kinetic-fp", axes=axes, coefficients=coef,
                    initial=GridFunction(axes, f0), source=0.0,
-                   t_final=0.25, nt=nt, periodic=True)
+                   t_final=0.25, nt=nt)
     return sv.solve_kinetic_fp(P)
 
 

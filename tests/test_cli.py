@@ -162,3 +162,36 @@ def test_int_config_value_is_accepted_for_a_float_field(tmp_path):
     code, report, _ = _run(tmp_path, "verify-geometry",
                            {"seed": 1, "samples": 0, "tol": 1})
     assert code == 0 and report["config"]["tol"] == 1
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("verify-geometry", {"d": 0}, "d"),
+    ("verify-geometry", {"samples": -3}, "samples"),
+    ("verify-geometry", {"samples": 0, "d": 9}, "d"),
+    ("holder-scan", {"n": 0}, "n"),
+    ("holder-scan", {"coefficient": "foo"}, "coefficient"),
+    ("holder-scan", {"lam": 0.8, "Lam": 0.5}, "Lam"),
+    ("covering", {"m": []}, "m"),
+    ("covering", {"m": [0]}, "m"),
+    ("covering", {"m": [1.5]}, "m"),
+    ("covering", {"r0": -1, "ink_spots": 1}, "r0"),
+    ("verify-kernel", {"adjoint_quad": [1, 2]}, "adjoint_quad"),
+    ("harnack", {"nx": 0}, "nx"),
+    ("harnack", {"lam": -1}, "lam"),
+    ("harnack", {"omega": 1.5}, "omega"),
+    ("harnack", {"seed": -1}, "seed"),
+])
+def test_config_value_out_of_range_is_config_error(tmp_path, capsys, command,
+                                                   cfg, key):
+    code, report, _ = _run(tmp_path, command, {"seed": 0, **cfg})
+    assert code == 3 and report is None
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be")
+
+
+def test_every_range_names_a_config_key_and_admits_its_defaults():
+    keys = set().union(*cli._SCHEMAS.values())
+    assert set(cli._RANGES) <= keys
+    for schema in cli._SCHEMAS.values():
+        cfg = dict(schema, seed=0)
+        assert all(cli._admits(cfg[k], cli._RANGES[k], cfg)
+                   for k in cfg if k in cli._RANGES)

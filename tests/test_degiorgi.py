@@ -146,7 +146,7 @@ def _kinetic_solution(scale=1.0, nx=64, nv=48, nt=64):
                    coefficients=sv.make_coefficients(
                        {"kind": "identity", "lam": 1, "Lam": 1}),
                    initial=GridFunction(axes, f0), source=0.0,
-                   t_final=0.25, nt=nt, periodic=True)
+                   t_final=0.25, nt=nt)
     sol = sv.solve_kinetic_fp(P)
     if scale != 1.0:
         sol = sv.Solution(sol.u, {"history": [scale * h for h in

@@ -206,3 +206,55 @@ def test_frac_laplacian_on_fourier_mode():
     assert np.allclose(out.values, expect, atol=1e-9)
     with pytest.raises(ValueError):
         ker.frac_laplacian_x(g, 1.5)
+
+
+def _bump_and_interior_points(d, seed, n=40):
+    """A phase-space Bump in (t, x_1..x_d, v_1..v_d) and n points well
+    inside its support."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-1, 1, 1 + 2 * d)
+    widths = rng.uniform(0.3, 1.2, 1 + 2 * d)
+    pts = centers + widths * rng.uniform(-0.8, 0.8, (n, 1 + 2 * d))
+    return ker.Bump(tuple(centers), tuple(widths)), list(pts.T)
+
+
+def _shifted(coords, k, h):
+    return [c + h if j == k else c for j, c in enumerate(coords)]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bump_partials_match_central_differences(d):
+    bump, z = _bump_and_interior_points(d, seed=d)
+    h = 1e-6
+    for k in range(1 + 2 * d):
+        fd = (bump.value(_shifted(z, k, h)) - bump.value(_shifted(z, k, -h))) / (2 * h)
+        got = bump.partial(z, k)
+        assert np.allclose(got, fd, rtol=1e-6, atol=1e-8 * np.abs(fd).max())
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bump_transport_plus_lap_matches_central_differences(d):
+    bump, z = _bump_and_interior_points(d, seed=10 + d)
+    h = 1e-4
+    phi = bump.value(z)
+
+    def first(k):
+        return (bump.value(_shifted(z, k, h)) - bump.value(_shifted(z, k, -h))) / (2 * h)
+
+    fd = first(0)
+    for k in range(1, d + 1):
+        kv = d + k
+        fd = fd + z[kv] * first(k)
+        fd = fd + (bump.value(_shifted(z, kv, h)) - 2 * phi
+                   + bump.value(_shifted(z, kv, -h))) / h ** 2
+    got = bump.transport_plus_lap(z)
+    assert np.allclose(got, fd, rtol=1e-5, atol=1e-7 * np.abs(fd).max())
+
+
+def test_bump_vanishes_outside_its_support_box():
+    bump, _ = _bump_and_interior_points(1, seed=0)
+    lo, hi = bump.support_box()
+    outside = [np.array([lo[k] - 1e-3, hi[k] + 1e-3]) for k in range(3)]
+    assert not np.any(bump.value(outside))
+    assert not np.any(bump.transport_plus_lap(outside))
+    assert all(not np.any(bump.partial(outside, k)) for k in range(3))

@@ -170,7 +170,7 @@ def test_kinetic_mass_conservation_and_positivity():
     f0 = np.exp(-8 * X ** 2 - 2 * V ** 2)
     P = sv.Problem(kind="kinetic-fp", axes=axes, coefficients=_identity(),
                    initial=GridFunction(axes, f0), source=0.0,
-                   t_final=0.05, nt=16, periodic=True)
+                   t_final=0.05, nt=16)
     sol = sv.solve_kinetic_fp(P)
     assert min(h.min() for h in sol.info["history"]) >= 0.0
     # v-Dirichlet absorbs a little mass; drift must stay tiny for data
@@ -186,7 +186,7 @@ def test_kinetic_weak_residual_refines():
         P = sv.Problem(kind="kinetic-fp", axes=axes, coefficients=_identity(),
                        initial=GridFunction(
                            axes, ker.gamma(0.2, X[..., None], V[..., None], 1)),
-                       source=0.0, t_final=0.05, nt=nt, periodic=True)
+                       source=0.0, t_final=0.05, nt=nt)
         sol = sv.solve_kinetic_fp(P)
         rep = sv.residual_check(sol, P, seed=6)
         errs.append(rep["scaled"])
@@ -236,19 +236,11 @@ def test_source_arity_is_read_from_the_signature():
     assert np.array_equal(sol.u.values, ref.u.values)
 
 
-def test_kinetic_solver_rejects_nonperiodic_x():
-    axes = [Axis("x", -0.5, 0.5, 8), Axis("v", -1, 1, 8)]
-    P = sv.Problem(kind="kinetic-fp", axes=axes, coefficients=_identity(),
-                   initial=1.0, t_final=0.1, nt=2)
-    with pytest.raises(ValueError, match="periodic"):
-        sv.solve_kinetic_fp(P)
-
-
 def test_store_every_must_be_a_positive_int():
     kin = sv.Problem(kind="kinetic-fp", axes=[Axis("x", -0.5, 0.5, 8),
                                               Axis("v", -1, 1, 8)],
                      coefficients=_identity(), initial=1.0, t_final=0.1,
-                     nt=4, periodic=True)
+                     nt=4)
     par = sv.Problem(kind="parabolic", axes=[Axis("x", -1, 1, 8)],
                      coefficients=_identity(), initial=1.0, t_final=0.1, nt=4)
     for solve, P in ((sv.solve_kinetic_fp, kin), (sv.solve_parabolic, par)):
@@ -263,7 +255,7 @@ def test_kinetic_drift_must_be_the_v_component():
     axes = [Axis("x", -0.5, 0.5, 12), Axis("v", -1, 1, 12)]
     P = sv.Problem(kind="kinetic-fp", axes=axes, coefficients=_identity(),
                    initial=1.0, drift=lambda p: -p[..., 1:], t_final=0.1,
-                   nt=2, periodic=True)
+                   nt=2)
     with pytest.raises(ValueError, match="drift"):
         sv.solve_kinetic_fp(P)
 
@@ -333,7 +325,7 @@ def _rough_kinetic_problem(nx, nv, nt, seed, **kw):
     kw.setdefault("initial", 0.2 + rng.random((nx, nv)))
     kw.setdefault("source", 0.0)
     return sv.Problem(kind="kinetic-fp", axes=axes, coefficients=coef,
-                      t_final=0.2, nt=nt, periodic=True, **kw)
+                      t_final=0.2, nt=nt, **kw)
 
 
 def _same_bits(a, b):
@@ -367,15 +359,6 @@ def test_kinetic_solver_reproduces_the_split_step_bit_for_bit(P, store_every):
             "ok": bool(f.min() >= lo - 1e-9 and f.max() <= hi + 1e-9)}
     else:
         assert "max_principle" not in sol.info
-
-
-def test_periodic_is_only_the_kinetic_x_torus():
-    axes = [Axis("x", -1, 1, 32), Axis("x", -1, 1, 32)]
-    for kind in ("elliptic", "parabolic"):
-        with pytest.raises(ValueError, match="periodic"):
-            sv.Problem(kind=kind, axes=axes, coefficients=_identity(),
-                       source=1.0, initial=0.0, t_final=0.1, nt=2,
-                       periodic=True)
 
 
 # _DiffusionOperator and the face build of _v_step_matrices as they were
