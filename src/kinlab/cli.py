@@ -309,6 +309,7 @@ def cmd_verify_kernel(cfg, jobs, outdir):
     axes = [Axis("t", 0, 1, 6), Axis("x", -2, 2, 20), Axis("v", -2, 2, 20)]
     shape = tuple(a.n for a in axes)
     young_ok = weak_ok = True
+    admitted = 0
     for _ in range(cfg["young_pairs"]):
         f = GridFunction(axes, rng.normal(size=shape) ** 2)
         g = GridFunction(axes, rng.normal(size=shape) ** 2)
@@ -316,12 +317,17 @@ def cmd_verify_kernel(cfg, jobs, outdir):
         r_inv = 1 / p + 1 / q - 1
         if r_inv <= 0:
             continue
+        admitted += 1
         young_ok &= ker.young_check(f, g, p, q).passed
         wp = rng.uniform(1.1, 4.0)
         weak_ok &= ker.weak_lp_norm(f, wp).value <= f.norm_lp(wp) * (1 + 1e-12)
     records.append({"check": "young_inequality", "passed": bool(young_ok)})
     records.append({"check": "weak_le_strong", "passed": bool(weak_ok)})
-    return records, [], csvs
+    warnings = []
+    if admitted == 0:
+        warnings.append("no Young pair admitted: young_inequality and "
+                        "weak_le_strong are vacuous")
+    return records, warnings, csvs
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +357,12 @@ def cmd_holder_scan(cfg, jobs, outdir):
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         results = sorted(pool.map(lambda i: _holder_instance(i, cfg),
                                   range(cfg["instances"])))
-    records, rows = [], []
+    records, rows, warnings = [], [], []
     for i, prof, mono in results:
         finite = np.isfinite(prof.alpha)
+        if len(prof.radii) < dg.FIT_DROP + dg.FIT_POINTS:
+            warnings.append(f"instance_{i}: {len(prof.radii)} resolved radii "
+                            "are too few to fit an exponent; check is vacuous")
         ok = mono and (not finite or prof.alpha > 0)
         records.append({"check": f"instance_{i}", "passed": bool(ok),
                         "alpha": prof.alpha if finite else "sentinel",
@@ -369,7 +378,7 @@ def cmd_holder_scan(cfg, jobs, outdir):
             ("alpha_histogram.csv", ["bin_lo", "bin_hi", "count"],
              [(float(edges[k]), float(edges[k + 1]), int(hist[k]))
               for k in range(len(hist))])]
-    return records, [], csvs
+    return records, warnings, csvs
 
 
 # ---------------------------------------------------------------------------

@@ -480,7 +480,7 @@ class InkSpotsReport:
     family: dict
 
 
-def _anchor_admissible(mask_obj, geometry, d, r):
+def _anchor_admissible(mask_obj, geometry, r):
     """Anchors whose cylinder Q_r is contained in Q1 (d = 1 lattices)."""
     grids = mask_obj.grids()
     t = grids[0]
@@ -515,11 +515,11 @@ def _lattice_mask(shape, stride):
     return out
 
 
-def _hot_anchors(vals, mask_obj, geometry, d, r, mu, lattice):
+def _hot_anchors(vals, mask_obj, geometry, r, mu, lattice):
     """Lattice indices, in C order, of the admissible anchors on the stride
     lattice whose Q_r is more than mu-filled by vals.  Window sums are taken
     only on the bounding box of those anchors."""
-    adm = _anchor_admissible(mask_obj, geometry, d, r) & lattice
+    adm = _anchor_admissible(mask_obj, geometry, r) & lattice
     box = _bounding_box(adm)
     if box is None:
         return np.empty((0, adm.ndim), dtype=int)
@@ -555,7 +555,7 @@ def ink_spots_check(E, F, geometry, m, r0, mu=0.5, k_cap=6, stack_check_cap=200,
     violations = []
     flagged = []
     for r in radii:
-        hot = _hot_anchors(vals, E, geometry, d, r, mu, lattice)
+        hot = _hot_anchors(vals, E, geometry, r, mu, lattice)
         if len(hot) == 0:
             continue
         if r >= r0:
@@ -598,7 +598,6 @@ def synthesize_ink_spots_instance(geometry, m, r0, rng, cells_per_unit=96,
     """Build an admissible (E, F) pair: E a union of small cylinders deep in
     Q1, F the union of E with the m-stacks of every half-filled family
     cylinder, so the theorem hypothesis holds by construction."""
-    d = 1
     s = min(m * r0 * r0, 1.0)
     if geometry == "parabolic":
         roles = ["t", "x"]
@@ -630,7 +629,7 @@ def synthesize_ink_spots_instance(geometry, m, r0, rng, cells_per_unit=96,
             # large half-filled cylinders would violate the hypothesis; the
             # synthesized E is sparse enough that none occur (checked below)
             continue
-        for idx in _hot_anchors(vals, E, geometry, d, r, mu, lattice):
+        for idx in _hot_anchors(vals, E, geometry, r, mu, lattice):
             anchor = [c[i] for c, i in zip(centers, idx)]
             base = _cylinder_at(anchor, r, geometry)
             sl, cells = _stack_cells(E.axes, centers, base, m)

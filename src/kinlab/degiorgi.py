@@ -279,6 +279,11 @@ def iterate_lemma(A0, C, beta, k_max=60, target=1e-12):
 # Oscillation profiles and Holder fits
 # ---------------------------------------------------------------------------
 
+# the decay fit drops this many of the largest radii (boundary pollution)
+# and needs at least FIT_POINTS more
+FIT_DROP, FIT_POINTS = 2, 4
+
+
 @dataclass
 class OscillationProfile:
     center: tuple
@@ -335,10 +340,10 @@ def oscillation_profile(u, center, k_max=6, geometry="elliptic", r0=None):
         vals = u.values[m]
         radii.append(r)
         oscs.append(float(vals.max() - vals.min()))
-    fit_r = radii[2:]
-    fit_o = oscs[2:]
+    fit_r = radii[FIT_DROP:]
+    fit_o = oscs[FIT_DROP:]
     pos = [(r, o) for r, o in zip(fit_r, fit_o) if o > 0]
-    if len(pos) < 4:
+    if len(pos) < FIT_POINTS:
         return OscillationProfile(tuple(np.atleast_1d(center).ravel()), radii,
                                   oscs, math.inf, 0.0, 0.0, dropped)
     lr = np.log([p[0] for p in pos])

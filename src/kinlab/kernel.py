@@ -7,7 +7,9 @@ The kernel
 
 (zero for t <= 0) solves d_t + v.grad_x - lap_v and is normalized to unit
 mass in (x,v) for every t > 0.  Everything is evaluated in log-space first;
-t^{-2d} exp(-c/t^3) underflows very early otherwise.
+t^{-2d} exp(-c/t^3) underflows very early otherwise.  `gamma` broadcasts its
+arguments and allocates one full-size array, so callers pass per-axis
+factors (as `adjoint_identity_check` does) rather than flattened grids.
 
 The group convolution is a midpoint-quadrature sum over the input lattice.
 The (t-s)w shear breaks ordinary convolution structure, so there is no FFT;
@@ -57,12 +59,20 @@ def gamma(t, x, v, d=None):
         d = x.shape[-1]
     t = np.asarray(t, dtype=float)
     tpos = np.where(t > 0.0, t, 1.0)  # placeholder where masked out
-    loggam = (0.5 * d * math.log(3.0 / (4.0 * math.pi ** 2))
-              - 2.0 * d * np.log(tpos)
-              - 3.0 * np.sum((x - 0.5 * tpos[..., None] * v) ** 2, axis=-1) / tpos ** 3
-              - 0.25 * np.sum(v * v, axis=-1) / tpos)
-    out = np.where(t > 0.0, np.exp(loggam), 0.0)
-    return out if out.ndim else float(out)
+    # one full-size temporary q and its reduction s; the terms that depend
+    # on t or v alone stay their own size.  Same operations in the same
+    # order as the log-space formula in the module docstring.
+    q = x - 0.5 * tpos[..., None] * v
+    np.square(q, out=q)
+    s = np.asarray(q.sum(axis=-1))
+    np.multiply(3.0, s, out=s)
+    np.divide(s, tpos ** 3, out=s)
+    np.subtract(0.5 * d * math.log(3.0 / (4.0 * math.pi ** 2))
+                - 2.0 * d * np.log(tpos), s, out=s)
+    np.subtract(s, 0.25 * np.sum(v * v, axis=-1) / tpos, out=s)
+    np.exp(s, out=s)
+    np.copyto(s, 0.0, where=~(t > 0.0))
+    return s if s.ndim else float(s)
 
 
 def gamma_x(t, x, v, d=None):
@@ -373,37 +383,45 @@ def kolmogorov_residual(h):
     axes = h.axes
     cents = h.centers()
     res = np.empty(tuple(a.n - 2 for a in axes))
-    # one slab of axis 0 at a time keeps the temporaries small
-    for i in range(res.shape[0]):
-        slab = [c[i:i + 3] if k == 0 else c for k, c in enumerate(cents)]
-        res[i] = _interior_residual(h.values[i:i + 3], axes, slab, it, ix, iv)[0]
-    vol = h.cell_volume
-    return ResidualReport(float(np.abs(res).max()),
-                          float(np.sqrt((res ** 2).sum() * vol)),
-                          tuple(a.n for a in axes))
-
-
-def _interior_residual(vals, axes, cents, it, ix, iv):
     core = tuple(slice(1, -1) for _ in axes)
+    buf = np.empty((1,) + res.shape[1:])
 
-    def shifted(axis, step):
+    def shifted(vals, axis, step):
         sl = list(core)
         sl[axis] = slice(1 + step, vals.shape[axis] - 1 + step)
         return vals[tuple(sl)]
 
-    def ddiff(axis, order):
-        hstep = axes[axis].h
-        if order == 1:
-            return (shifted(axis, 1) - shifted(axis, -1)) / (2 * hstep)
-        return (shifted(axis, 1) - 2 * vals[core] + shifted(axis, -1)) / hstep ** 2
-
-    res = ddiff(it, 1)
-    for axx, axv in zip(ix, iv):
-        shape = [1] * vals.ndim
-        shape[axv] = -1
-        res = res + cents[axv][1:-1].reshape(shape) * ddiff(axx, 1)
-        res = res - ddiff(axv, 2)
-    return res
+    peaks = np.empty(res.shape[0])
+    # one slab of axis 0 at a time, written in place through one scratch
+    # buffer: (f+ - f-)/(2h) in t, + v (f+ - f-)/(2h) in each x and
+    # - ((f+ - 2f) + f-)/h^2 in each v, in that order; then the slab's
+    # peak of |res|, and res^2 in place for the L2 sum
+    for i in range(res.shape[0]):
+        vals = h.values[i:i + 3]
+        out = res[i:i + 1]
+        np.subtract(shifted(vals, it, 1), shifted(vals, it, -1), out=out)
+        np.divide(out, 2 * axes[it].h, out=out)
+        for axx, axv in zip(ix, iv):
+            shape = [1] * vals.ndim
+            shape[axv] = -1
+            v = (cents[axv][i:i + 3] if axv == 0 else cents[axv])[1:-1]
+            np.subtract(shifted(vals, axx, 1), shifted(vals, axx, -1), out=buf)
+            np.divide(buf, 2 * axes[axx].h, out=buf)
+            np.multiply(v.reshape(shape), buf, out=buf)
+            np.add(out, buf, out=out)
+            np.multiply(2, vals[core], out=buf)
+            np.subtract(shifted(vals, axv, 1), buf, out=buf)
+            np.add(buf, shifted(vals, axv, -1), out=buf)
+            np.divide(buf, axes[axv].h ** 2, out=buf)
+            np.subtract(out, buf, out=out)
+        np.abs(out, out=out)
+        peaks[i] = out.max()
+        np.square(out, out=out)
+    # one sum over the contiguous array, not per slab: numpy's pairwise order,
+    # so the L2 norm is bit-for-bit that of (res ** 2).sum()
+    return ResidualReport(float(peaks.max()),
+                          float(np.sqrt(res.sum() * h.cell_volume)),
+                          tuple(a.n for a in axes))
 
 
 def residual_convergence_order(reports, hs):
@@ -502,12 +520,18 @@ def adjoint_identity_check(bump, n_quad=(40, 72, 48), out_frac=0.35, band_cells=
     The s-integral near s = t is below quadrature resolution (the kernel
     concentrates at scale (s-t)^{3/2} in x); that band contributes
     delta * (transport+lap phi)(z) + O(delta^{3/2}) by unit mass of the kernel,
-    and is added analytically with delta = (band_cells - 1/2) * ds.
+    and is added analytically with delta = (band_cells - 1/2) * ds, so
+    band_cells must be at least 1.  The quadrature over the remaining cells
+    evaluates the kernel once per output point, on broadcast per-axis
+    factors: tau per s row, the sheared position per (s, y) and the
+    velocity per w.
     Returns the relative error over output points in the early part of the
     bump's support; the error must decrease under quadrature refinement.
     """
     if len(bump.centers) != 3:
         raise NotImplementedError("quadrature implemented at d=1 desk scale")
+    if band_cells < 1:
+        raise ValueError("band_cells must be at least 1")
     lo, hi = bump.support_box()
     blo, bhi = lo - 1e-9, hi + 1e-9
     nt, nx, nv = n_quad
@@ -518,12 +542,9 @@ def adjoint_identity_check(bump, n_quad=(40, 72, 48), out_frac=0.35, band_cells=
     ts = ax_t.centers()
     xs = ax_x.centers()
     vs = ax_v.centers()
-    S, Y, W = np.meshgrid(ts, xs, vs, indexing="ij")
-    K = bump.transport_plus_lap((S, Y, W))
+    K = bump.transport_plus_lap((ts[:, None, None], xs[:, None], vs))
     vol = ds * ax_x.h * ax_v.h
-    s_f = S.ravel(); y_f = Y.ravel(); w_f = W.ravel(); k_f = K.ravel()
-    keep = k_f != 0.0
-    s_f, y_f, w_f, k_f = s_f[keep], y_f[keep], w_f[keep], k_f[keep]
+    keep = K != 0.0
 
     # output points: lattice points in the lower-t region of the support
     t_sel = ts[(ts > lo[0] + 0.15 * (hi[0] - lo[0])) & (ts < lo[0] + (0.15 + out_frac) * (hi[0] - lo[0]))]
@@ -536,12 +557,14 @@ def adjoint_identity_check(bump, n_quad=(40, 72, 48), out_frac=0.35, band_cells=
     lhs = np.zeros(len(pts))
     phi_vals = np.zeros(len(pts))
     for i, (t, x, v) in enumerate(pts):
-        tau = s_f - t
-        m = tau >= (band_cells - 0.5) * ds  # cells fully above the analytic band
-        # s_f is t-major, so these cells are a suffix
-        j = m.size - np.count_nonzero(m)
-        gval = gamma(tau[j:], (y_f[j:] - x - tau[j:] * v)[:, None], (w_f[j:] - v)[:, None], 1)
-        lhs[i] = float((gval * k_f[j:]).sum()) * vol
+        tau = ts - t
+        # rows of cells fully above the analytic band: a suffix in t
+        j = tau.size - np.count_nonzero(tau >= delta)
+        tj = tau[j:, None, None]
+        g = gamma(tj, ((xs[:, None] - x) - tj * v)[..., None], (vs - v)[:, None], 1)
+        g *= K[j:]
+        # the kept cells in C order: the same 1-D sum as over a flattened grid
+        lhs[i] = float(g[keep[j:]].sum()) * vol
         lhs[i] += delta * float(bump.transport_plus_lap((t, x, v)))
         phi_vals[i] = float(bump.value((t, x, v)))
     num = np.sqrt(np.mean((lhs + phi_vals) ** 2))

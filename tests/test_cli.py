@@ -139,6 +139,27 @@ def test_covering_vacuous_families_warn(tmp_path):
     assert any("vacuous" in w for w in report["warnings"])
 
 
+def test_kernel_no_young_pair_warns(tmp_path):
+    code, report, _ = _run(tmp_path, "verify-kernel",
+                           {"seed": 1, "young_pairs": 0, "base_n": 8,
+                            "adjoint_quad": [20, 36, 24],
+                            "adjoint_threshold": 1.0})
+    assert code == 0
+    checks = {r["check"]: r["passed"] for r in report["records"]}
+    assert checks["young_inequality"] and checks["weak_le_strong"]
+    [warning] = report["warnings"]
+    assert "Young" in warning and "vacuous" in warning
+
+
+def test_holder_scan_unfittable_instance_warns(tmp_path):
+    code, report, _ = _run(tmp_path, "holder-scan",
+                           {"seed": 1, "instances": 1, "n": 16, "k_max": 0})
+    assert code == 0
+    assert report["records"][0]["alpha"] == "sentinel"
+    [warning] = report["warnings"]
+    assert warning.startswith("instance_0:") and "vacuous" in warning
+
+
 def test_holder_scan_constant_sentinel_and_jobs(tmp_path):
     code, report, outdir = _run(tmp_path, "holder-scan",
                                 {"seed": 5, "instances": 2, "n": 96},

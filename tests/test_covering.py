@@ -268,7 +268,7 @@ def _assert_hot_admissible(E, geometry, stride, violations):
     for v in violations:
         r, idx = v["radius"], tuple(v["anchor_index"])
         sums, counts = cov._cyl_sums(E.mask.astype(float), E.axes, r, geometry)
-        adm = (cov._anchor_admissible(E, geometry, 1, r)
+        adm = (cov._anchor_admissible(E, geometry, r)
                & cov._lattice_mask(E.mask.shape, stride))
         assert adm[idx] and sums[idx] > 0.5 * counts[idx]
 

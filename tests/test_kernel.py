@@ -151,20 +151,143 @@ def test_convolution_matches_pointwise_sampling(f_axes, out_axes):
         assert res.truncation_mass > 0.0
 
 
+_RESIDUAL_LAYOUTS = [
+    [("t", 1.0, 1.5, 6), ("x", -2, 2, 10), ("v", -2, 2, 12)],
+    [("x", -2, 2, 10), ("t", 1.0, 1.5, 6), ("v", -2, 2, 12)],
+    [("v", -2, 2, 12), ("t", 1.0, 1.5, 6), ("x", -2, 2, 10)],
+    [("t", 1.0, 1.5, 5), ("x", -2, 2, 6), ("x", -2, 2, 7),
+     ("v", -2, 2, 6), ("v", -2, 2, 8)],
+]
+
+
 def test_kolmogorov_residual_equals_periodic_difference_reference():
-    axes = [Axis("t", 1.0, 1.5, 6), Axis("x", -2, 2, 10), Axis("v", -2, 2, 12)]
-    T, X, V = np.meshgrid(*[a.centers() for a in axes], indexing="ij")
-    vals = ker.gamma(T, X[..., None], V[..., None], d=1)
-    ht, hx, hv = (a.h for a in axes)
+    # d = 1 in three axis orders (v first puts the velocity on the slab
+    # axis), then d = 2
+    for layout in _RESIDUAL_LAYOUTS:
+        axes = [Axis(*a) for a in layout]
+        roles = [a.role for a in axes]
+        grids = np.meshgrid(*[a.centers() for a in axes], indexing="ij")
+        it = roles.index("t")
+        ix = [i for i, r in enumerate(roles) if r == "x"]
+        iv = [i for i, r in enumerate(roles) if r == "v"]
+        vals = ker.gamma(grids[it], np.stack([grids[i] for i in ix], axis=-1),
+                         np.stack([grids[i] for i in iv], axis=-1))
 
-    def diff(axis, h):
-        return (np.roll(vals, -1, axis) - np.roll(vals, 1, axis)) / (2 * h)
+        def diff(axis):
+            h = axes[axis].h
+            return (np.roll(vals, -1, axis) - np.roll(vals, 1, axis)) / (2 * h)
 
-    second = (np.roll(vals, -1, 2) - 2 * vals + np.roll(vals, 1, 2)) / hv ** 2
-    res = (diff(0, ht) + V * diff(1, hx) - second)[1:-1, 1:-1, 1:-1]
-    rep = ker.kolmogorov_residual(GridFunction(axes, vals))
-    assert rep.max_residual == float(np.abs(res).max())
-    assert rep.l2_residual == float(np.sqrt((res ** 2).sum() * ht * hx * hv))
+        def second(axis):
+            h = axes[axis].h
+            return (np.roll(vals, -1, axis) - 2 * vals + np.roll(vals, 1, axis)) / h ** 2
+
+        res = diff(it)
+        for axx, axv in zip(ix, iv):
+            res = res + grids[axv] * diff(axx) - second(axv)
+        res = res[(slice(1, -1),) * len(axes)]
+        g = GridFunction(axes, vals)
+        rep = ker.kolmogorov_residual(g)
+        assert rep.max_residual == float(np.abs(res).max())
+        assert rep.l2_residual == float(np.sqrt((res ** 2).sum() * g.cell_volume))
+
+
+def _gamma_reference(t, x, v, d=None):
+    # the log-space formula as one expression, one temporary per operation
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if d is None:
+        d = x.shape[-1]
+    t = np.asarray(t, dtype=float)
+    tpos = np.where(t > 0.0, t, 1.0)
+    loggam = (0.5 * d * math.log(3.0 / (4.0 * math.pi ** 2))
+              - 2.0 * d * np.log(tpos)
+              - 3.0 * np.sum((x - 0.5 * tpos[..., None] * v) ** 2, axis=-1) / tpos ** 3
+              - 0.25 * np.sum(v * v, axis=-1) / tpos)
+    out = np.where(t > 0.0, np.exp(loggam), 0.0)
+    return out if out.ndim else float(out)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_gamma_bitwise_equals_reference_formula(d):
+    rng = np.random.default_rng(3)
+    t = rng.uniform(-0.5, 2.0, (6, 1, 1))
+    t[0, 0, 0], t[1, 0, 0], t[2, 0, 0] = 0.0, -1.0, np.nan
+    t[3, 0, 0] = 1e-3   # deep underflow of exp
+    x = rng.normal(size=(5, 1, d))
+    v = rng.normal(size=(4, d))
+    got, want = ker.gamma(t, x, v), _gamma_reference(t, x, v)
+    assert got.shape == want.shape == (6, 5, 4)
+    assert np.array_equal(_bits(got), _bits(want))
+    # the larger broadcast shape may come from any argument
+    got = ker.gamma(0.7, x[:, 0], v[:, None, :], d)
+    assert np.array_equal(_bits(got), _bits(_gamma_reference(0.7, x[:, 0], v[:, None, :], d)))
+    # NaN positions propagate where t > 0 and are masked where t <= 0
+    xn = np.full((6, 1, d), np.nan)
+    got = ker.gamma(t, xn, v)
+    assert np.array_equal(_bits(got), _bits(_gamma_reference(t, xn, v)))
+    scalar = ker.gamma(0.9, [0.3] * d, [-0.2] * d)
+    assert type(scalar) is float
+    assert scalar == _gamma_reference(0.9, [0.3] * d, [-0.2] * d)
+    assert ker.gamma(-0.5, [0.3] * d, [-0.2] * d) == 0.0
+
+
+def _adjoint_rel_error_reference(bump, n_quad, out_frac=0.35, band_cells=3):
+    # flattened per-point loop over the kept quadrature cells
+    lo, hi = bump.support_box()
+    blo, bhi = lo - 1e-9, hi + 1e-9
+    nt, nx, nv = n_quad
+    ax_t = Axis("t", blo[0], bhi[0], nt)
+    ax_x = Axis("x", blo[1], bhi[1], nx)
+    ax_v = Axis("v", blo[2], bhi[2], nv)
+    ds = ax_t.h
+    ts, xs, vs = ax_t.centers(), ax_x.centers(), ax_v.centers()
+    S, Y, W = np.meshgrid(ts, xs, vs, indexing="ij")
+    K = bump.transport_plus_lap((S, Y, W))
+    vol = ds * ax_x.h * ax_v.h
+    s_f, y_f, w_f, k_f = S.ravel(), Y.ravel(), W.ravel(), K.ravel()
+    keep = k_f != 0.0
+    s_f, y_f, w_f, k_f = s_f[keep], y_f[keep], w_f[keep], k_f[keep]
+    t_sel = ts[(ts > lo[0] + 0.15 * (hi[0] - lo[0]))
+               & (ts < lo[0] + (0.15 + out_frac) * (hi[0] - lo[0]))]
+    t_sel = t_sel[:: max(1, len(t_sel) // 4)]
+    x_sel = np.linspace(lo[1] + 0.3 * (hi[1] - lo[1]), hi[1] - 0.3 * (hi[1] - lo[1]), 3)
+    v_sel = np.linspace(lo[2] + 0.3 * (hi[2] - lo[2]), hi[2] - 0.3 * (hi[2] - lo[2]), 3)
+    pts = [(t, x, v) for t in t_sel for x in x_sel for v in v_sel]
+    delta = (band_cells - 0.5) * ds
+    lhs = np.zeros(len(pts))
+    phi_vals = np.zeros(len(pts))
+    for i, (t, x, v) in enumerate(pts):
+        tau = s_f - t
+        m = tau >= (band_cells - 0.5) * ds
+        j = m.size - np.count_nonzero(m)
+        gval = _gamma_reference(tau[j:], (y_f[j:] - x - tau[j:] * v)[:, None],
+                                (w_f[j:] - v)[:, None], 1)
+        lhs[i] = float((gval * k_f[j:]).sum()) * vol
+        lhs[i] += delta * float(bump.transport_plus_lap((t, x, v)))
+        phi_vals[i] = float(bump.value((t, x, v)))
+    num = np.sqrt(np.mean((lhs + phi_vals) ** 2))
+    den = np.sqrt(np.mean(phi_vals ** 2))
+    return float(num / den)
+
+
+@pytest.mark.parametrize("n_quad", [(20, 36, 24), (33, 47, 29)])
+@pytest.mark.parametrize("band_cells", [1, 3, 5])
+def test_adjoint_identity_bitwise_equals_flattened_loop(n_quad, band_cells):
+    bump = ker.Bump(centers=(0.6, 0.0, 0.0), widths=(0.45, 0.8, 0.8))
+    rep = ker.adjoint_identity_check(bump, n_quad=n_quad, band_cells=band_cells)
+    assert rep.rel_error == _adjoint_rel_error_reference(bump, n_quad,
+                                                         band_cells=band_cells)
+
+
+@pytest.mark.parametrize("band_cells", [0, 0.5, 0.99, -2])
+def test_adjoint_identity_rejects_band_below_one_cell(band_cells):
+    bump = ker.Bump(centers=(0.6, 0.0, 0.0), widths=(0.45, 0.8, 0.8))
+    with pytest.raises(ValueError, match="band_cells"):
+        ker.adjoint_identity_check(bump, n_quad=(20, 36, 24), band_cells=band_cells)
 
 
 def test_scaled_integrability_probe_follows_exponent():
