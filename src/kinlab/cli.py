@@ -144,10 +144,10 @@ def write_csv(path, names, rows):
 # verify-geometry
 # ---------------------------------------------------------------------------
 
-def _random_points(rng, n, d, scale=2.0):
-    t = rng.uniform(-scale, scale, n)
-    x = rng.uniform(-scale, scale, (n, d))
-    v = rng.uniform(-scale, scale, (n, d))
+def _random_points(rng, n, d):
+    t = rng.uniform(-2.0, 2.0, n)
+    x = rng.uniform(-2.0, 2.0, (n, d))
+    v = rng.uniform(-2.0, 2.0, (n, d))
     return t, x, v
 
 
@@ -179,8 +179,7 @@ def cmd_verify_geometry(cfg, jobs, outdir):
     ok = True
     worst = 0.0
     for _ in range(min(N, 500)):
-        zs = [geo.PhasePoint(t, x, v) for t, x, v in
-              zip(*(a if a.ndim == 1 else a for a in _random_points(rng, 3, d)))]
+        zs = [geo.PhasePoint(t, x, v) for t, x, v in zip(*_random_points(rng, 3, d))]
         z1, z2, z3 = zs
         lhs = geo.compose(geo.compose(z1, z2), z3)
         rhs = geo.compose(z1, geo.compose(z2, z3))
@@ -236,8 +235,7 @@ def cmd_verify_geometry(cfg, jobs, outdir):
     # cylinder membership invariance under the kinetic dilation
     ok = True
     for _ in range(200):
-        z0 = geo.PhasePoint(*[a[0] if a.ndim == 1 else a[0] for a in
-                              _random_points(rng, 1, d)])
+        z0 = geo.PhasePoint(*[a[0] for a in _random_points(rng, 1, d)])
         r = rng.uniform(0.2, 2.0)
         Q = geo.KineticCylinder(z0, r)
         z = geo.PhasePoint(z0.t - rng.uniform(0, r * r) * 0.99,
@@ -346,8 +344,7 @@ def _holder_instance(i, cfg):
                    boundary=lambda p: a0 + a1 * p[..., 0] + a2 * p[..., 1],
                    source=0.0)
     sol = sv.solve_elliptic(P)
-    prof = dg.oscillation_profile(sol.u, (0.0, 0.0), k_max=cfg["k_max"],
-                                  geometry="elliptic", r0=1.0)
+    prof = dg.oscillation_profile(sol.u, (0.0, 0.0), k_max=cfg["k_max"], r0=1.0)
     mono = all(a >= b2 - 1e-12 for a, b2 in
                zip(prof.oscillations, prof.oscillations[1:]))
     return i, prof, mono

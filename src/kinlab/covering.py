@@ -36,8 +36,7 @@ __all__ = [
 # Families and exact predicates
 # ---------------------------------------------------------------------------
 
-_KINDS = {EuclideanBall: "elliptic", ParabolicCylinder: "parabolic",
-          KineticCylinder: "kinetic"}
+_KINDS = (EuclideanBall, ParabolicCylinder, KineticCylinder)
 
 
 @dataclass
@@ -51,10 +50,6 @@ class CylinderFamily:
                 raise ValueError("family must be homogeneous")
             if type(self.members[0]) not in _KINDS:
                 raise TypeError("unsupported region type")
-
-    @property
-    def kind(self):
-        return _KINDS[type(self.members[0])] if self.members else None
 
 
 @dataclass
@@ -145,10 +140,10 @@ class RasterMask:
             raise ValueError("mask shape mismatch")
 
     @classmethod
-    def for_box(cls, bounds, roles, cells_per_unit=128, n_min=24, n_max=384):
+    def for_box(cls, bounds, roles, cells_per_unit=128):
         axes = []
         for (lo, hi), role in zip(bounds, roles):
-            n = int(np.clip(round((hi - lo) * cells_per_unit), n_min, n_max))
+            n = int(np.clip(round((hi - lo) * cells_per_unit), 24, 384))
             axes.append(Axis(role, lo, hi, n))
         return cls(axes)
 
@@ -299,7 +294,7 @@ def _cyl_sums(vals, axes, r, geometry, box=None):
     raise ValueError(f"unknown geometry {geometry!r}")
 
 
-def maximal_function(g, radii=None):
+def maximal_function(g):
     """Discrete maximal function over anchored dyadic cylinders.
 
     Family: for every grid point z and every dyadic radius, the cylinder
@@ -310,9 +305,8 @@ def maximal_function(g, radii=None):
     """
     roles = g.roles()
     geometry = "kinetic" if "v" in roles else "parabolic"
-    if radii is None:
-        rmax = math.sqrt(g.axes[0].hi - g.axes[0].lo)
-        radii = [rmax / 2 ** k for k in range(4)]
+    rmax = math.sqrt(g.axes[0].hi - g.axes[0].lo)
+    radii = [rmax / 2 ** k for k in range(4)]
     vals = np.abs(g.values)
     best = np.zeros_like(vals)
     for r in radii:
@@ -648,14 +642,14 @@ class LebesgueProbeReport:
     monotone: bool
 
 
-def lebesgue_differentiation_probe(g, samples=64, n_radii=4, rng=None):
+def lebesgue_differentiation_probe(g, samples=64, rng=None):
     """Median over random anchors of the cylinder average of |g - g(z)|."""
     rng = np.random.default_rng(0) if rng is None else rng
     roles = g.roles()
     geometry = "kinetic" if "v" in roles else "parabolic"
     tspan = g.axes[0].hi - g.axes[0].lo
     rmax = 0.5 * math.sqrt(tspan)
-    radii = [rmax / 2 ** k for k in range(n_radii)]
+    radii = [rmax / 2 ** k for k in range(4)]
     vals = g.values
     devs = {r: [] for r in radii}
     ones = {r: _cyl_sums(np.ones_like(vals), g.axes, r, geometry)[0] for r in radii}

@@ -3,6 +3,12 @@
 profiles with Holder-exponent fits, Harnack quotients, expansion of
 positivity, intermediate-value statistics, and Poincare-Wirtinger constants.
 
+Each procedure measures one geometry.  Elliptic, on balls of a stationary
+GridFunction: Caccioppoli ratios, oscillation profiles, Holder consistency,
+intermediate values and Poincare-Wirtinger constants.  Kinetic, on d = 1
+kinetic cylinders of a solver Solution: Harnack quotients, expansion of
+positivity, DG class membership and the backward gradient estimate.
+
 Conventions: ess sup/inf are grid max/min; discrete gradients are forward
 differences attributed to the lower cell; all measured constants carry the
 discretization slack of the raster geometry they were measured on.  Time-
@@ -17,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfn import GridFunction
-from .geometry import (EuclideanBall, ParabolicCylinder, PhasePoint,
-                       _cylinder_at, cylinder_mask, kinetic_distance)
+from .geometry import EuclideanBall, _cylinder_at, cylinder_mask
 
 __all__ = [
     "truncate", "caccioppoli_report", "iterate_lemma", "oscillation_profile",
@@ -108,7 +113,6 @@ class EnergyRecord:
     r: float
     R: float
     kappa: float
-    sign: str
     lhs: float
     rhs_energy: float
     rhs_source: float
@@ -125,108 +129,40 @@ class EnergyReport:
     skipped: int
 
 
-def caccioppoli_report(sol, P, samples, slack=0.2, sign="plus"):
-    """Realized local-energy ratios on sampled (center, r, R, kappa).
+def caccioppoli_report(sol, P, samples, slack=0.2):
+    """Realized local-energy ratios of an elliptic solution on sampled
+    (center, r, R, kappa).
 
-    Elliptic: ratio = grad-energy over B_r divided by
+    ratio = grad-energy of (u - kappa)_+ over B_r divided by
     [(R-r)^-2 int_{B_R} w^2 + int_{B_R} |S| w], compared against the bound
-    max(2/lam, 16 Lam/lam) inflated by the discretization slack.
-
-    Parabolic samples are (t0, x0, r, R, kappa): ratio compares the endpoint
-    plus gradient energy, net of the initial-time term and the source term,
-    against 16 Lam / (R-r)^2 times the space-time mass of w^2.
-
-    Kinetic samples are (t0, x0, v0, rx, Rx, rv, Rv, kappa): the bound is
-    8 Lam/(Rv-rv)^2 + 4 Rv/(Rx-rx) + Lam^2/lam on boxes in (x, v).
+    max(2/lam, 16 Lam/lam) inflated by the discretization slack.  Samples
+    whose B_R leaves the domain are skipped.
     """
+    if P.kind != "elliptic":
+        raise ValueError(f"no Caccioppoli check for kind {P.kind!r}")
     lam, Lam = P.coefficients.lam, P.coefficients.Lam
     records = []
     skipped = 0
-    if P.kind == "elliptic":
-        bound = max(2.0 / lam, 16.0 * Lam / lam)
-        axes = sol.u.axes
-        grids = np.ix_(*sol.u.centers())
-        S = P.source_at(0.0, np.stack(sol.u.meshgrid(), axis=-1))
-        vol = sol.u.cell_volume
-        for (x0, r, R, kappa) in samples:
-            if any(c - R < a.lo or c + R > a.hi for c, a in zip(np.atleast_1d(x0), axes)):
-                skipped += 1
-                continue
-            w = truncate(sol.u, kappa, sign).values
-            gsq = _forward_grad_sq(w, axes, range(len(axes)))
-            mr = cylinder_mask(EuclideanBall(x0, r), grids)
-            mR = cylinder_mask(EuclideanBall(x0, R), grids)
-            lhs = float(gsq[mr].sum()) * vol
-            e = float((w[mR] ** 2).sum()) * vol / (R - r) ** 2
-            s = float((np.abs(S[mR]) * w[mR]).sum()) * vol
-            ratio = lhs / (e + s) if e + s > 0 else 0.0
-            records.append(EnergyRecord(tuple(np.atleast_1d(x0)), r, R, kappa,
-                                        sign, lhs, e, s, ratio))
-    elif P.kind == "parabolic":
-        bound = 16.0 * Lam
-        tr = _trajectory(sol)
-        axes = sol.u.axes
-        pts = tr.points()
-        for (t0, x0, r, R, kappa) in samples:
-            x0 = np.atleast_1d(x0)
-            # the slices Q_r(t0, x0) meets on its own axis x = x0
-            ok_t = cylinder_mask(ParabolicCylinder(t0, x0, r), (tr.tau, *x0))
-            if ok_t.sum() < 2 or any(c - R < a.lo or c + R > a.hi
-                                     for c, a in zip(x0, axes)):
-                skipped += 1
-                continue
-            ids = np.where(ok_t)[0]
-            mr = cylinder_mask(EuclideanBall(x0, r), tr.axes)
-            mR = cylinder_mask(EuclideanBall(x0, R), tr.axes)
-            w = [truncate(tr.history[i], kappa, sign) for i in ids]
-            end = float((w[-1][mr] ** 2).sum()) * tr.vol
-            start = float((w[0][mr] ** 2).sum()) * tr.vol
-            grad = sum(float(_forward_grad_sq(wi, axes, range(len(axes)))[mr].sum())
-                       for wi in w) * tr.vol * tr.dtau * lam
-            mass = sum(float((wi[mR] ** 2).sum()) for wi in w) * tr.vol * tr.dtau / (R - r) ** 2
-            src = sum(float((np.abs(P.source_at(tr.times[i], pts)) * wi)[mR].sum())
-                      for i, wi in zip(ids, w)) * tr.vol * tr.dtau
-            lhs = max(end + grad - start - src, 0.0)
-            ratio = lhs / mass if mass > 0 else 0.0
-            records.append(EnergyRecord((t0,) + tuple(x0), r, R,
-                                        kappa, sign, lhs, mass, src, ratio))
-    elif P.kind == "kinetic-fp":
-        tr = _trajectory(sol)
-        x_axis, v_axis = sol.u.axes
-        X, V = tr.axes
-        pts = tr.points()
-        sample_bounds = []
-        for (t0, x0, v0, rx, Rx, rv, Rv, kappa) in samples:
-            ok_t = (tr.tau > t0 - rv * rv) & (tr.tau <= t0)
-            if ok_t.sum() < 2 or abs(x0) + Rx > x_axis.hi or abs(v0) + Rv > v_axis.hi:
-                skipped += 1
-                continue
-            sample_bounds.append(8.0 * Lam / (Rv - rv) ** 2
-                                 + 4.0 * Rv / (Rx - rx) + Lam ** 2 / lam)
-            ids = np.where(ok_t)[0]
-            m_int = (np.abs(X - x0) < rx) & (np.abs(V - v0) < rv)
-            m_ext = (np.abs(X - x0) < Rx) & (np.abs(V - v0) < Rv)
-            w = [truncate(tr.history[i], kappa, sign) for i in ids]
-            end = float((w[-1][m_int] ** 2).sum()) * tr.vol
-            start = float((w[0][m_int] ** 2).sum()) * tr.vol
-            grad = sum(float(_forward_grad_sq(wi, sol.u.axes, [1])[m_int].sum())
-                       for wi in w) * tr.vol * tr.dtau * lam / 4.0
-            mass = sum(float((wi[m_ext] ** 2).sum()) for wi in w) * tr.vol * tr.dtau
-            src = 2.0 * sum(float((np.abs(P.source_at(tr.times[i], pts)) * wi)[m_ext].sum())
-                            for i, wi in zip(ids, w)) * tr.vol * tr.dtau
-            lhs = max(end + grad - start - src, 0.0)
-            ratio = lhs / mass if mass > 0 else 0.0
-            records.append(EnergyRecord((t0, x0, v0), rx, Rx, kappa, sign,
-                                        lhs, mass, src, ratio))
-    else:
-        raise ValueError(f"unsupported kind {P.kind!r}")
+    bound = max(2.0 / lam, 16.0 * Lam / lam)
+    axes = sol.u.axes
+    grids = np.ix_(*sol.u.centers())
+    S = P.source_at(0.0, np.stack(sol.u.meshgrid(), axis=-1))
+    vol = sol.u.cell_volume
+    for (x0, r, R, kappa) in samples:
+        if any(c - R < a.lo or c + R > a.hi for c, a in zip(np.atleast_1d(x0), axes)):
+            skipped += 1
+            continue
+        w = truncate(sol.u, kappa).values
+        gsq = _forward_grad_sq(w, axes, range(len(axes)))
+        mr = cylinder_mask(EuclideanBall(x0, r), grids)
+        mR = cylinder_mask(EuclideanBall(x0, R), grids)
+        lhs = float(gsq[mr].sum()) * vol
+        e = float((w[mR] ** 2).sum()) * vol / (R - r) ** 2
+        s = float((np.abs(S[mR]) * w[mR]).sum()) * vol
+        ratio = lhs / (e + s) if e + s > 0 else 0.0
+        records.append(EnergyRecord(tuple(np.atleast_1d(x0)), r, R, kappa,
+                                    lhs, e, s, ratio))
     worst = max((rec.ratio for rec in records), default=0.0)
-    if P.kind == "kinetic-fp":
-        # the bound depends on the box widths, so certify per sample
-        passed = all(rec.ratio <= b * (1.0 + slack)
-                     for rec, b in zip(records, sample_bounds))
-        bound = max(sample_bounds) if sample_bounds else 0.0
-        return EnergyReport(records, worst, bound, slack, passed, skipped)
     passed = worst <= bound * (1.0 + slack)
     return EnergyReport(records, worst, bound, slack, passed, skipped)
 
@@ -244,12 +180,13 @@ class IterationResult:
     verdict: str
 
 
-def iterate_lemma(A0, C, beta, k_max=60, target=1e-12):
+def iterate_lemma(A0, C, beta, k_max=60):
     """Simulate A_{k+1} = C^{k+1} A_k^beta at equality, in log space.
 
     Returns the sequence, the convergence threshold C^{-beta/(beta-1)^2},
     the exponents p_k of the closed form A_k <= C^{p_k} A_0^{beta^k} built
     from p_{k+1} = p_k beta + (k+1), and their bound beta^{k+1}/(beta-1)^2.
+    The verdict is "converged" once A_k falls below 1e-12.
     """
     if not (C > 1 and beta > 1 and A0 >= 0):
         raise ValueError("need C > 1, beta > 1, A0 >= 0")
@@ -263,7 +200,7 @@ def iterate_lemma(A0, C, beta, k_max=60, target=1e-12):
         logA = (k + 1) * logC + beta * logA
         seq.append(math.exp(logA) if logA < 700 else math.inf)
         p.append(p[-1] * beta + (k + 1))
-        if seq[-1] < target:
+        if seq[-1] < 1e-12:
             verdict = "converged"
             break
         if not np.isfinite(seq[-1]):
@@ -295,46 +232,28 @@ class OscillationProfile:
     dropped: list
 
 
-def oscillation_profile(u, center, k_max=6, geometry="elliptic", r0=None):
-    """Grid oscillation of u over nested dyadic cylinders around a center.
+def oscillation_profile(u, center, k_max=6, r0=None):
+    """Grid oscillation of u over nested dyadic balls around a center.
 
     Fits log(osc) against log(r) over the resolved decaying range.  The fit
-    drops the two largest radii (boundary pollution) and every radius whose
-    region holds fewer than 8 cells; fewer than 4 surviving points, or an
-    identically constant u, yield the +inf sentinel exponent.
+    drops the two largest radii (boundary pollution) and every radius below
+    two cells or whose ball holds fewer than 8 cells; fewer than 4 surviving
+    points, or an identically constant u, yield the +inf sentinel exponent.
     """
     if r0 is None:
         spans = [min(abs(c - a.lo), abs(c - a.hi))
                  for c, a in zip(np.atleast_1d(center).ravel(), u.axes)]
         r0 = max(min(spans), 1e-9)
-    hs = [a.h for a in u.axes]
-    # a half-cell pad (cells meeting the region rather than centered in it)
-    # cancels the first-order bias that grid oscillation carries at small
-    # radii, which would otherwise contaminate the fitted decay exponent
-    if geometry == "elliptic":
-        pad = (0.0, 0.5 * max(hs), 0.0)
-    elif geometry == "parabolic":
-        pad = (0.5 * hs[0], 0.5 * max(hs[1:]), 0.0)
-    elif geometry == "kinetic":
-        pad = (0.5 * hs[0], 0.5 * hs[1], 0.5 * hs[2])
-    else:
-        raise ValueError(f"unknown geometry {geometry!r}")
+    h = max(a.h for a in u.axes)
     grids = np.ix_(*u.centers())
     radii, oscs, dropped = [], [], []
     for k in range(k_max + 1):
         r = r0 * 2.0 ** (-k)
-        if geometry == "elliptic":
-            resolved = r >= 2.0 * max(hs)
-            Q = EuclideanBall(center, r)
-        elif geometry == "parabolic":
-            resolved = r * r >= 2.0 * hs[0] and r >= 2.0 * max(hs[1:])
-            Q = ParabolicCylinder(center[0], center[1], r)
-        else:
-            resolved = (r * r >= 2.0 * hs[0] and r ** 3 >= 2.0 * hs[1]
-                        and r >= 2.0 * hs[2])
-            Q = _cylinder_at(center, r)
-        m = cylinder_mask(Q, grids, pad)
-        if not resolved or m.sum() < 8:
+        # a half-cell pad (cells meeting the ball rather than centered in it)
+        # cancels the first-order bias that grid oscillation carries at small
+        # radii, which would otherwise contaminate the fitted decay exponent
+        m = cylinder_mask(EuclideanBall(center, r + 0.5 * h), grids)
+        if r < 2.0 * h or m.sum() < 8:
             dropped.append(r)
             continue
         vals = u.values[m]
@@ -355,9 +274,8 @@ def oscillation_profile(u, center, k_max=6, geometry="elliptic", r0=None):
                               dropped)
 
 
-def holder_consistency(u, profile, n_pairs=200, geometry="elliptic", rng=None,
-                       distance=None):
-    """Check |u(z1) - u(z2)| <= C d(z1, z2)^alpha on random grid-point pairs.
+def holder_consistency(u, profile, n_pairs=200, rng=None):
+    """Check |u(z1) - u(z2)| <= C |z1 - z2|^alpha on random grid-point pairs.
 
     C is the profile constant inflated by its fit residual; pairs closer
     than two cells are skipped (the bound is meaningless under resolution).
@@ -379,13 +297,7 @@ def holder_consistency(u, profile, n_pairs=200, geometry="elliptic", rng=None,
         i, j = rng.integers(n), rng.integers(n)
         z1 = [f[i] for f in flat]
         z2 = [f[j] for f in flat]
-        if distance is not None:
-            dist = distance(z1, z2)
-        elif geometry == "elliptic":
-            dist = float(np.linalg.norm(np.subtract(z1, z2)))
-        else:
-            dist = kinetic_distance(PhasePoint(z1[0], [z1[1]], [z1[2]]),
-                                    PhasePoint(z2[0], [z2[1]], [z2[2]]))
+        dist = float(np.linalg.norm(np.subtract(z1, z2)))
         if dist < 2.0 * hmax:
             continue
         checked += 1
@@ -406,18 +318,15 @@ class HarnackReport:
     sup_past: float
     inf_future: float
     quotient: float
-    source_norm: float
     geometry: dict
-    p: float
 
 
-def harnack_quotient(sol, omega=0.25, p=None, source_norm=0.0):
+def harnack_quotient(sol, omega=0.25):
     """sup over the past cylinder vs inf over the future cylinder.
 
     The stored solution is read in shifted time (final slice at 0); the
     past cylinder is Q_omega(-1 + omega^2, 0, 0) and the future one is
-    Q_omega, both scaled by the trajectory's time span.  With p set, the
-    sup is replaced by the L^p quasi-norm over the past cylinder.
+    Q_omega, both scaled by the trajectory's time span.
     """
     tr = _trajectory(sol, scale=1.0)
     span = tr.times[-1] - tr.times[0]
@@ -427,32 +336,25 @@ def harnack_quotient(sol, omega=0.25, p=None, source_norm=0.0):
     past = _cylinder_at((-1.0 + omega ** 2, 0.0, 0.0), omega)
     future = _cylinder_at((0.0, 0.0, 0.0), omega)
     sup_past, inf_future = -math.inf, math.inf
-    acc, cells = 0.0, 0
     for f, m in zip(tr.history, tr.masks(past)):
         if m.any():
             sup_past = max(sup_past, float(f[m].max()))
-            if p is not None:
-                acc += float((f[m] ** p).sum())
-                cells += int(m.sum())
     for f, m in zip(tr.history, tr.masks(future)):
         if m.any():
             inf_future = min(inf_future, float(f[m].min()))
     if not np.isfinite(sup_past) or not np.isfinite(inf_future):
         raise ValueError("cylinders not resolved by the stored trajectory")
-    if p is not None and cells:
-        sup_past = (acc / cells) ** (1.0 / p)
-    quotient = sup_past / (inf_future + source_norm) if inf_future + source_norm > 0 \
-        else math.inf
-    return HarnackReport(sup_past, inf_future, quotient, source_norm,
+    # inf_future > 0: every stored value is positive
+    return HarnackReport(sup_past, inf_future, sup_past / inf_future,
                          {"omega": omega, "past": "Q_omega(-1+omega^2,0,0)",
-                          "future": "Q_omega", "time_span": span}, p or math.inf)
+                          "future": "Q_omega", "time_span": span})
 
 
-def expansion_experiment(solutions, eta0=0.5, source_eps=1e-2):
+def expansion_experiment(solutions, eta0=0.5):
     """Minimum over Q_1 for solutions seeded with mass near the initial time.
 
     Hypothesis per instance: |{f >= 1} cap Q_pos| >= 1/2 |Q_pos| with
-    Q_pos = Q_eta0(-1, 0, 0) in scaled time, and the source below eps.
+    Q_pos = Q_eta0(-1, 0, 0) in scaled time.
     Returns the per-instance minima and the ensemble minimum over the
     instances satisfying the hypothesis.
     """
@@ -476,68 +378,35 @@ def expansion_experiment(solutions, eta0=0.5, source_eps=1e-2):
     admitted = [row["min_Q1"] for row in table if row["hypothesis"]]
     ell_hat = min(admitted) if admitted else math.nan
     return {"table": table, "ell_hat": ell_hat, "admitted": len(admitted),
-            "excluded": len(table) - len(admitted), "eta0": eta0,
-            "source_eps": source_eps}
+            "excluded": len(table) - len(admitted), "eta0": eta0}
 
 
-def intermediate_value_stats(u, geometry="elliptic", theta=0.25, eta=0.5,
-                             C_PW=None):
-    """Raster measures of the level and intermediate-value sets.
+def intermediate_value_stats(u, C_PW=None):
+    """Raster measures of the level and intermediate-value sets over B_1.
 
-    Elliptic: measures over B_1 of {u <= 1/2}, {u >= 1}, {1/2 < u < 1},
-    the gradient L2 norm, and the realized constant in
+    Measures of {u <= 1/2}, {u >= 1}, {1/2 < u < 1}, the gradient L2 norm,
+    and the realized constant in
     |{u<=1/2}| |{u>=1}| <= C ||grad u||_2 |{1/2<u<1}|^{1/2}, compared to
     2 C_PW |B_1| when a Poincare constant estimate is supplied.
-
-    Kinetic: u is a Solution; measures of {f >= 1} cap Q_-,
-    {f <= theta} cap Q_+, {theta < f < 1} cap Q_ext with
-    Q_- = Q_eta(-1-eta^2, 0, 0), Q_+ = Q_1, Q_ext the full box, plus the
-    L2 norm of the v-gradient.
     """
-    if geometry == "elliptic":
-        m1 = cylinder_mask(EuclideanBall(np.zeros(len(u.axes)), 1.0),
-                           np.ix_(*u.centers()))
-        vol = u.cell_volume
-        vals = u.values
-        low = float(((vals <= 0.5) & m1).sum()) * vol
-        high = float(((vals >= 1.0) & m1).sum()) * vol
-        mid = float(((vals > 0.5) & (vals < 1.0) & m1).sum()) * vol
-        gsq = _forward_grad_sq(vals, u.axes, range(len(u.axes)))
-        gnorm = math.sqrt(float(gsq[m1].sum()) * vol)
-        denom = gnorm * math.sqrt(mid)
-        measured_C = low * high / denom if denom > 0 else 0.0
-        out = {"low": low, "high": high, "mid": mid, "grad_norm": gnorm,
-               "measured_C": measured_C}
-        if C_PW is not None:
-            ball = 2.0 if len(u.axes) == 1 else math.pi
-            out["C_IVL"] = 2.0 * C_PW * ball
-            out["within_C_IVL"] = measured_C <= out["C_IVL"]
-        return out
-    if geometry == "kinetic":
-        # trajectory scaled onto (-1 - 2 eta^2, 0] so the early cylinder
-        # Q_eta(-1 - eta^2, 0, 0) lies inside the data
-        tr = _trajectory(u, scale=1.0 + 2.0 * eta ** 2)
-        vol = tr.vol * (tr.times[-1] - tr.times[0]) * tr.dtau
-        qm = _cylinder_at((-1.0 - eta ** 2, 0.0, 0.0), eta)
-        qp = _cylinder_at((0.0, 0.0, 0.0), 1.0)
-        low = high = mid = 0.0
-        qm_cells = qp_cells = 0
-        gsq_acc = 0.0
-        for f, mm, mp in zip(tr.history, tr.masks(qm), tr.masks(qp)):
-            high += int((f[mm] >= 1.0).sum())
-            qm_cells += int(mm.sum())
-            low += int((f[mp] <= theta).sum())
-            qp_cells += int(mp.sum())
-            mid += int(((f > theta) & (f < 1.0)).sum())
-            dv = np.diff(f, axis=1) / u.u.axes[1].h
-            gsq_acc += float((dv * dv).sum())
-        total = len(tr.history) * u.u.values.size
-        return {"high_frac_Qminus": high / qm_cells if qm_cells else math.nan,
-                "low_frac_Qplus": low / qp_cells if qp_cells else math.nan,
-                "mid_frac_ext": mid / total,
-                "grad_v_norm": math.sqrt(gsq_acc * vol) if vol else math.nan,
-                "theta": theta, "eta": eta}
-    raise ValueError(f"unknown geometry {geometry!r}")
+    m1 = cylinder_mask(EuclideanBall(np.zeros(len(u.axes)), 1.0),
+                       np.ix_(*u.centers()))
+    vol = u.cell_volume
+    vals = u.values
+    low = float(((vals <= 0.5) & m1).sum()) * vol
+    high = float(((vals >= 1.0) & m1).sum()) * vol
+    mid = float(((vals > 0.5) & (vals < 1.0) & m1).sum()) * vol
+    gsq = _forward_grad_sq(vals, u.axes, range(len(u.axes)))
+    gnorm = math.sqrt(float(gsq[m1].sum()) * vol)
+    denom = gnorm * math.sqrt(mid)
+    measured_C = low * high / denom if denom > 0 else 0.0
+    out = {"low": low, "high": high, "mid": mid, "grad_norm": gnorm,
+           "measured_C": measured_C}
+    if C_PW is not None:
+        ball = 2.0 if len(u.axes) == 1 else math.pi
+        out["C_IVL"] = 2.0 * C_PW * ball
+        out["within_C_IVL"] = measured_C <= out["C_IVL"]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -572,77 +441,46 @@ def poincare_wirtinger_estimate(family, q=2):
             "skipped": skipped, "q": q}
 
 
-def dg_membership(sol, P, samples, p_c=None, slack=0.0, sign="plus"):
-    """Minimal constant certifying the gain-of-integrability inequality.
+def dg_membership(sol, P, samples, p_c=None):
+    """Minimal constant certifying the gain-of-integrability inequality of a
+    kinetic solution.
 
-    Kinetic samples (z0, r, R, kappa) with z0 = (t0, x0, v0): compares
+    Samples (z0, r, R, kappa) with z0 = (t0, x0, v0): compares
     ||(f-kappa)_+||^2_{p_c, Q_r} against (R-r)^-4 int_{Q_R} (f-kappa)_+^2
     plus (R-r)^-2 int_{Q_R} |S|^2 1_{f >= kappa}; the default exponent is
     p_c = 2 + 1/(2d), inside the admissible range (2, 2 + 1/d).
-
-    Parabolic samples (t0, x0, r, R, kappa): the time-sup of the slice mass
-    plus the gradient energy over Q_r against ((R-r)^-2 + r^-2) times the
-    mass over Q_R plus the source term; default p_c = 2 + 4/d.
     """
-    records = []
-    if P.kind == "kinetic-fp":
-        d = 1
-        if p_c is None:
-            p_c = 2.0 + 1.0 / (2 * d)
-        if not (2.0 < p_c < 2.0 + 1.0 / d):
-            raise ValueError("kinetic p_c must lie in (2, 2 + 1/d)")
-        tr = _trajectory(sol)
-        pts = tr.points()
-        for (z0, r, R, kappa) in samples:
-            Qr, QR = _cylinder_at(z0, r), _cylinder_at(z0, R)
-            lhs_acc = rhs_acc = src_acc = 0.0
-            for i, (f, mr, mR) in enumerate(zip(tr.history, tr.masks(Qr), tr.masks(QR))):
-                w = truncate(f, kappa, sign)
-                if mr.any():
-                    lhs_acc += float((w[mr] ** p_c).sum()) * tr.vol * tr.dtau
-                if mR.any():
-                    rhs_acc += float((w[mR] ** 2).sum()) * tr.vol * tr.dtau
-                    Sv = np.abs(P.source_at(tr.times[i], pts))
-                    ind = f >= kappa if sign == "plus" else f <= kappa
-                    src_acc += float(((Sv ** 2) * ind)[mR].sum()) * tr.vol * tr.dtau
-            lhs = lhs_acc ** (2.0 / p_c)
-            rhs = rhs_acc / (R - r) ** 4 + src_acc / (R - r) ** 2
-            const = lhs / rhs if rhs > 0 else 0.0
-            records.append({"z0": z0, "r": r, "R": R, "kappa": kappa,
-                            "lhs": lhs, "rhs": rhs, "constant": const})
-    elif P.kind == "parabolic":
-        d = len(sol.u.axes)
-        if p_c is None:
-            p_c = 2.0 + 4.0 / d
-        tr = _trajectory(sol)
-        axes = sol.u.axes
-        pts = tr.points()
-        for (t0, x0, r, R, kappa) in samples:
-            Qr, QR = ParabolicCylinder(t0, x0, r), ParabolicCylinder(t0, x0, R)
-            sup_slice = 0.0
-            grad = rhs_mass = src = 0.0
-            for i, (f, mr, mR) in enumerate(zip(tr.history, tr.masks(Qr), tr.masks(QR))):
-                w = truncate(f, kappa, sign)
-                if mr.any():
-                    sup_slice = max(sup_slice, float((w[mr] ** 2).sum()) * tr.vol)
-                    grad += float(_forward_grad_sq(w, axes, range(d))[mr].sum()) * tr.vol * tr.dtau
-                if mR.any():
-                    rhs_mass += float((w[mR] ** 2).sum()) * tr.vol * tr.dtau
-                    Sv = np.abs(P.source_at(tr.times[i], pts))
-                    src += float((Sv * w)[mR].sum()) * tr.vol * tr.dtau
-            lhs = sup_slice + grad
-            rhs = ((R - r) ** -2 + r ** -2) * rhs_mass + src
-            const = lhs / rhs if rhs > 0 else 0.0
-            records.append({"z0": (t0, x0), "r": r, "R": R, "kappa": kappa,
-                            "lhs": lhs, "rhs": rhs, "constant": const})
-    else:
+    if P.kind != "kinetic-fp":
         raise ValueError(f"no membership check for kind {P.kind!r}")
+    d = 1
+    if p_c is None:
+        p_c = 2.0 + 1.0 / (2 * d)
+    if not (2.0 < p_c < 2.0 + 1.0 / d):
+        raise ValueError("kinetic p_c must lie in (2, 2 + 1/d)")
+    tr = _trajectory(sol)
+    pts = tr.points()
+    records = []
+    for (z0, r, R, kappa) in samples:
+        Qr, QR = _cylinder_at(z0, r), _cylinder_at(z0, R)
+        lhs_acc = rhs_acc = src_acc = 0.0
+        for i, (f, mr, mR) in enumerate(zip(tr.history, tr.masks(Qr), tr.masks(QR))):
+            w = truncate(f, kappa)
+            if mr.any():
+                lhs_acc += float((w[mr] ** p_c).sum()) * tr.vol * tr.dtau
+            if mR.any():
+                rhs_acc += float((w[mR] ** 2).sum()) * tr.vol * tr.dtau
+                Sv = np.abs(P.source_at(tr.times[i], pts))
+                src_acc += float(((Sv ** 2) * (f >= kappa))[mR].sum()) * tr.vol * tr.dtau
+        lhs = lhs_acc ** (2.0 / p_c)
+        rhs = rhs_acc / (R - r) ** 4 + src_acc / (R - r) ** 2
+        const = lhs / rhs if rhs > 0 else 0.0
+        records.append({"z0": z0, "r": r, "R": R, "kappa": kappa,
+                        "lhs": lhs, "rhs": rhs, "constant": const})
     worst = max((rec["constant"] for rec in records), default=0.0)
-    return {"records": records, "certifying_constant": worst * (1.0 + slack),
-            "p_c": p_c}
+    return {"records": records, "certifying_constant": worst, "p_c": p_c}
 
 
-def kdg_minus_gradient_check(sol, P, samples, sign="minus"):
+def kdg_minus_gradient_check(sol, P, samples):
     """Minimal constant in the backward gradient estimate on nested boxes.
 
     Samples: (T, tau_minus, tau_plus, rx, Rx, rv, Rv, kappa); compares
@@ -662,14 +500,13 @@ def kdg_minus_gradient_check(sol, P, samples, sign="minus"):
         m_ext = (np.abs(X) < Rx) & (np.abs(V) < Rv)
         grad = mass = src = 0.0
         for i, f in enumerate(tr.history):
-            w = truncate(f, kappa, sign)
+            w = truncate(f, kappa, "minus")
             if in_int[i]:
                 grad += float(_forward_grad_sq(w, sol.u.axes, [1])[m_int].sum()) * tr.vol * tr.dtau
             if in_ext[i]:
                 mass += float((w[m_ext] ** 2).sum()) * tr.vol * tr.dtau
                 Sv = np.abs(P.source_at(tr.times[i], pts))
-                ind = f <= kappa if sign == "minus" else f >= kappa
-                src += float(((Sv ** 2) * ind)[m_ext].sum()) * tr.vol * tr.dtau
+                src += float(((Sv ** 2) * (f <= kappa))[m_ext].sum()) * tr.vol * tr.dtau
         lhs = math.sqrt(grad)
         rhs = math.sqrt(mass) / e + math.sqrt(src)
         const = lhs / rhs if rhs > 0 else 0.0

@@ -198,20 +198,16 @@ def _sq_dist(coords, center, shift=None):
     return sum((c - c0 - s) ** 2 for c, c0, s in zip(coords, center, shift))
 
 
-def cylinder_mask(Q, grids, pad=(0.0, 0.0, 0.0)):
+def cylinder_mask(Q, grids):
     """Vectorized membership of a ball, cylinder or stack on coordinate arrays.
 
     grids are broadcastable coordinate arrays ordered (t, x..., v...), or
     (x...) for a ball; open meshes (np.ix_ of the axis centers) broadcast to
     the full lattice.  Time is half-open for a cylinder, (t0 - R^2, t0], and
-    open at both ends for a stack; x and v are open balls.  pad = (time
-    depth, x radius, v radius) widens the region by those absolute amounts;
-    a ball reads only the x entry.
+    open at both ends for a stack; x and v are open balls.
     """
-    pt, px, pv = pad
     if isinstance(Q, EuclideanBall):
-        w = Q.radius + px
-        return _sq_dist(grids, Q.center) < w * w
+        return _sq_dist(grids, Q.center) < Q.radius * Q.radius
     m = Q.m if isinstance(Q, StackedCylinder) else None
     base = Q.base if m is not None else Q
     if isinstance(base, KineticCylinder):
@@ -223,17 +219,16 @@ def cylinder_mask(Q, grids, pad=(0.0, 0.0, 0.0)):
     r, d = base.radius, len(x0)
     dt = grids[0] - t0
     if m is None:
-        inside = (dt > -r * r - pt) & (dt <= 0.0)
-        wx = (r if v0 is None else r ** 3) + px
+        inside = (dt > -r * r) & (dt <= 0.0)
+        wx = r if v0 is None else r ** 3
     else:
-        inside = (dt > 0.0) & (dt < m * r * r + pt)
-        wx = (r if v0 is None else (m + 2) * r ** 3) + px
+        inside = (dt > 0.0) & (dt < m * r * r)
+        wx = r if v0 is None else (m + 2) * r ** 3
     xs = grids[1:1 + d]
     if v0 is None:
         return inside & (_sq_dist(xs, x0) < wx * wx)
-    wv = r + pv
     inside = inside & (_sq_dist(xs, x0, [dt * c for c in v0]) < wx * wx)
-    return inside & (_sq_dist(grids[1 + d:1 + 2 * d], v0) < wv * wv)
+    return inside & (_sq_dist(grids[1 + d:1 + 2 * d], v0) < r * r)
 
 
 def cylinder_contains(Q, z):

@@ -106,12 +106,11 @@ class GridFunction:
 
     # ---- calculus ----------------------------------------------------------
 
-    def integrate(self, mask=None):
-        v = self.values if mask is None else self.values[mask]
-        return float(v.sum()) * self.cell_volume
+    def integrate(self):
+        return float(self.values.sum()) * self.cell_volume
 
-    def norm_lp(self, p, mask=None):
-        v = self.values if mask is None else self.values[mask]
+    def norm_lp(self, p):
+        v = self.values
         if np.isinf(p):
             return float(np.abs(v).max()) if v.size else 0.0
         return float((np.abs(v) ** p).sum() * self.cell_volume) ** (1.0 / p)

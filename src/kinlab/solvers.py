@@ -224,9 +224,9 @@ def _source_in_time(P, pts):
     return lambda t: S
 
 
-def _eval(data, pts, default=0.0):
+def _eval(data, pts):
     if data is None:
-        data = default
+        data = 0.0
     if isinstance(data, GridFunction):
         vals, _ = data.sample(pts)
         return vals
@@ -639,7 +639,7 @@ def _face_grad_sum(u, phi_vals, face_coef, axes):
     return total
 
 
-def residual_check(sol, P, bumps=None, n_bumps=5, seed=0):
+def residual_check(sol, P, seed=0):
     """Weak-form residual against a battery of interior tensor bumps.
 
     Elliptic:  R(phi) = sum_faces a (Du)(Dphi) - int S phi.
@@ -655,8 +655,7 @@ def residual_check(sol, P, bumps=None, n_bumps=5, seed=0):
     if P.kind == "elliptic":
         axes = sol.u.axes
         bounds = [(a.lo, a.hi) for a in axes]
-        if bumps is None:
-            bumps = default_bumps(bounds, n_bumps, seed)
+        bumps = default_bumps(bounds, seed=seed)
         op = _DiffusionOperator(axes, P.coefficients, P.boundary)
         pts = _cell_points(axes)
         S = P.source_at(0.0, pts)
@@ -672,8 +671,7 @@ def residual_check(sol, P, bumps=None, n_bumps=5, seed=0):
         times = sol.info["times"]
         bounds = [(times[0], times[-1]), (x_axis.lo, x_axis.hi),
                   (v_axis.lo, v_axis.hi)]
-        if bumps is None:
-            bumps = default_bumps(bounds, n_bumps, seed)
+        bumps = default_bumps(bounds, seed=seed)
         pts = _cell_points(P.axes)
         fa = _faces(P.coefficients, pts, v_axis, 1,
                     P.coefficients.d_mat - 1)[:, 1:-1]     # interior faces

@@ -151,6 +151,19 @@ def test_kernel_no_young_pair_warns(tmp_path):
     assert "Young" in warning and "vacuous" in warning
 
 
+def test_kernel_admitted_young_pair_passes(tmp_path):
+    # at seed 2 the first two drawn (p, q) have 1/p + 1/q <= 1 and are
+    # skipped; the third is admitted, so the Young and weak-norm checks run
+    code, report, _ = _run(tmp_path, "verify-kernel",
+                           {"seed": 2, "young_pairs": 3, "base_n": 8,
+                            "adjoint_quad": [20, 36, 24],
+                            "adjoint_threshold": 1.0})
+    assert code == 0
+    assert report["warnings"] == []
+    checks = {r["check"]: r["passed"] for r in report["records"]}
+    assert checks["young_inequality"] and checks["weak_le_strong"]
+
+
 def test_holder_scan_unfittable_instance_warns(tmp_path):
     code, report, _ = _run(tmp_path, "holder-scan",
                            {"seed": 1, "instances": 1, "n": 16, "k_max": 0})

@@ -11,13 +11,36 @@ from kinlab import covering as cov
 from kinlab import geometry as geo
 
 
-def _random_kinetic_family(rng, n):
+def _random_family(kind, rng, n):
+    """n random members: d = 1 kinetic or parabolic cylinders, or planar
+    balls."""
     members = []
     for _ in range(n):
-        z0 = geo.PhasePoint(rng.uniform(-0.5, 0), rng.uniform(-1, 1, 1),
-                            rng.uniform(-1, 1, 1))
-        members.append(geo.KineticCylinder(z0, rng.uniform(0.1, 0.6)))
+        if kind == "kinetic":
+            z0 = geo.PhasePoint(rng.uniform(-0.5, 0), rng.uniform(-1, 1, 1),
+                                rng.uniform(-1, 1, 1))
+            members.append(geo.KineticCylinder(z0, rng.uniform(0.1, 0.6)))
+        elif kind == "parabolic":
+            t0, x0 = rng.uniform(-0.5, 0), rng.uniform(-1, 1, 1)
+            members.append(geo.ParabolicCylinder(t0, x0, rng.uniform(0.1, 0.6)))
+        else:
+            members.append(geo.EuclideanBall(rng.uniform(-1, 1, 2),
+                                             rng.uniform(0.1, 0.6)))
     return cov.CylinderFamily(members)
+
+
+def _family_raster(kind, x_half, v_half, cells_per_unit):
+    """A raster over the box the members of _random_family(kind) live in."""
+    if kind == "kinetic":
+        bounds, roles = [(-1.0, 0.2), (-x_half, x_half), (-v_half, v_half)], "txv"
+    elif kind == "parabolic":
+        bounds, roles = [(-1.0, 0.2), (-x_half, x_half)], "tx"
+    else:
+        bounds, roles = [(-x_half, x_half)] * 2, "xx"
+    return cov.RasterMask.for_box(bounds, roles, cells_per_unit=cells_per_unit)
+
+
+FAMILY_KINDS = ("kinetic", "parabolic", "ball")
 
 
 def test_family_must_be_homogeneous():
@@ -27,22 +50,23 @@ def test_family_must_be_homogeneous():
         cov.CylinderFamily([b, p])
 
 
-def test_vitali_selected_are_disjoint():
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_vitali_selected_are_disjoint(kind):
     rng = np.random.default_rng(0)
-    fam = _random_kinetic_family(rng, 40)
+    fam = _random_family(kind, rng, 40)
     sel = cov.vitali_select(fam)
     for i, a in enumerate(sel):
         for b in sel[:i]:
             assert not cov.regions_intersect(fam.members[a], fam.members[b])
 
 
-def test_vitali_5q_covers_family():
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_vitali_5q_covers_family(kind):
     rng = np.random.default_rng(1)
-    fam = _random_kinetic_family(rng, 30)
+    fam = _random_family(kind, rng, 30)
     sel = cov.vitali_select(fam)
     enlarged = [geo.dilate_5Q(fam.members[i]) for i in sel]
-    mask = cov.RasterMask.for_box([(-1.0, 0.2), (-1.5, 1.5), (-1.7, 1.7)],
-                                  "txv", cells_per_unit=24)
+    mask = _family_raster(kind, 1.5, 1.7, 24)
     union = np.zeros(mask.mask.shape, dtype=bool)
     for q in fam.members:
         union |= mask.rasterize(q)
@@ -57,12 +81,12 @@ def test_vitali_empty_family():
     assert cov.vitali_select(cov.CylinderFamily([])) == []
 
 
-def test_regions_intersect_symmetric_and_exact():
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_regions_intersect_symmetric_and_exact(kind):
     rng = np.random.default_rng(2)
-    mask = cov.RasterMask.for_box([(-1.0, 0.2), (-2.0, 2.0), (-2.0, 2.0)],
-                                  "txv", cells_per_unit=32)
+    mask = _family_raster(kind, 2.0, 2.0, 32)
     for _ in range(25):
-        fam = _random_kinetic_family(rng, 2)
+        fam = _random_family(kind, rng, 2)
         q1, q2 = fam.members
         pred = cov.regions_intersect(q1, q2)
         assert pred == cov.regions_intersect(q2, q1)
@@ -140,6 +164,11 @@ def test_stacked_union_ratio_single_cylinder():
     rep = cov.stacked_union_ratio(fam, 1, cells_per_unit=48)
     assert rep.passed
     assert rep.ratio >= rep.bound - rep.slack
+    fam = cov.CylinderFamily([geo.ParabolicCylinder(-0.1, np.zeros(1), 0.4)])
+    for m in (1, 2, 4):
+        rep = cov.stacked_union_ratio(fam, m, cells_per_unit=48)
+        assert rep.passed
+        assert rep.ratio >= rep.bound - rep.slack
 
 
 def test_ink_spots_parabolic_instance():

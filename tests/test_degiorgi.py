@@ -193,8 +193,7 @@ def test_expansion_experiment_filters_hypothesis():
 def test_intermediate_value_elliptic_ramp():
     axes = _axes2(128)
     X, _ = np.meshgrid(*[a.centers() for a in axes], indexing="ij")
-    iv = dg.intermediate_value_stats(GridFunction(axes, 0.75 + X),
-                                     "elliptic", C_PW=1.0)
+    iv = dg.intermediate_value_stats(GridFunction(axes, 0.75 + X), C_PW=1.0)
     # ramp crosses both levels symmetrically inside B_1
     assert iv["low"] == pytest.approx(iv["high"], rel=0.05)
     assert iv["mid"] > 0
@@ -208,6 +207,16 @@ def test_dg_membership_kinetic_finite_constant():
     assert np.isfinite(rep["certifying_constant"])
     with pytest.raises(ValueError):
         dg.dg_membership(sol, P, [], p_c=3.5)
+
+
+def test_energy_checks_reject_the_other_kind():
+    sol, P = _kinetic_solution(nx=16, nv=16, nt=8)
+    with pytest.raises(ValueError, match="no Caccioppoli check"):
+        dg.caccioppoli_report(sol, P, [])
+    P_ell = sv.Problem(kind="elliptic", axes=_axes2(8),
+                       coefficients=P.coefficients, boundary=0.0, source=0.0)
+    with pytest.raises(ValueError, match="no membership check"):
+        dg.dg_membership(sol, P_ell, [])
 
 
 def test_kdg_minus_gradient_constant():
