@@ -77,7 +77,8 @@ _RANGES = {
     "profile": ("gaussian", "constant"), "families": "[0, inf)",
     "m": "[1, inf)", "maximal_fields": "[1, inf)",
     "geometry": ("parabolic", "kinetic"), "ink_spots": "[0, inf)",
-    "m_ink": "[1, inf)", "r0": "(0, 1]",
+    "m_ink": "[1, inf)", "r0": "(0, 1]", "optimality_tol": "(0, inf)",
+    "adjoint_threshold": "(0, inf)",
 }
 
 
@@ -192,10 +193,27 @@ def cmd_verify_geometry(cfg, jobs, outdir):
     records.append({"check": "group_axioms", "passed": bool(ok),
                     "worst_error": worst})
 
-    # distance sandwiched by the sup norm of the group difference
+    # every distance below comes from one batched solve; its rows are
+    # independent, so each equals the value of a solve of its own
     t1, x1, v1 = _random_points(rng, N, d)
     t2, x2, v2 = _random_points(rng, N, d)
-    dist, gap = geo.kinetic_distance_batch(t1, x1, v1, t2, x2, v2, tol=tol)
+    M = max(N // 10, 1)
+    t3, x3, v3 = _random_points(rng, M, d)
+    # the two optimality pairs: a pure velocity gap (v = +-e1/2) hits the 1/2
+    # bound, a pure unit time gap hits the upper bound
+    e1, zero = np.eye(d)[:1], np.zeros((1, d))
+    z_ac = (np.array([0.0, 1.0]), np.zeros((2, d)), np.vstack([0.5 * e1, zero]))
+    z_bo = (np.zeros(2), np.zeros((2, d)), np.vstack([-0.5 * e1, zero]))
+    pairs = [((t1, x1, v1), (t2, x2, v2)),
+             ((t1[:M], x1[:M], v1[:M]), (t3, x3, v3)),
+             ((t3, x3, v3), (t2[:M], x2[:M], v2[:M])),
+             (z_ac, z_bo)]
+    dist, _ = geo.kinetic_distance_batch(
+        *(np.concatenate([p[side][k] for p in pairs])
+          for side in (0, 1) for k in range(3)), tol=tol)
+    dist, d13, d32, (d_half, d_one) = np.split(dist, [N, N + M, N + 2 * M])
+
+    # distance sandwiched by the sup norm of the group difference
     norms = _sup_norms_of_differences(t1, x1, v1, t2, x2, v2)
     lower_ok = bool(np.all(dist >= 0.5 * norms - tol))
     upper_ok = bool(np.all(dist <= norms + tol))
@@ -205,29 +223,15 @@ def cmd_verify_geometry(cfg, jobs, outdir):
     rows = sorted(zip(range(N), dist.tolist(), norms.tolist()))
     csvs = [("distance_samples.csv", ["index", "distance", "sup_norm"], rows)]
 
-    # optimality instances: pure velocity gap hits the 1/2 bound, pure time
-    # gap hits the upper bound; both must reproduce the exact value
-    z_a = geo.PhasePoint(0.0, np.zeros(d), 0.5 * np.eye(d)[0])
-    z_b = geo.PhasePoint(0.0, np.zeros(d), -0.5 * np.eye(d)[0])
-    d_half = geo.kinetic_distance(z_a, z_b, tol=min(tol, 1e-6))
-    z_c = geo.PhasePoint(1.0, np.zeros(d), np.zeros(d))
-    z_o = geo.PhasePoint(0.0, np.zeros(d), np.zeros(d))
-    d_one = geo.kinetic_distance(z_c, z_o, tol=min(tol, 1e-6))
+    # both optimality instances must reproduce the exact value
+    d_half, d_one = float(d_half), float(d_one)
     opt_tol = cfg["optimality_tol"]
     opt_ok = abs(d_half - 0.5) <= opt_tol and abs(d_one - 1.0) <= opt_tol
     records.append({"check": "optimality_instances", "passed": bool(opt_ok),
                     "d_half": d_half, "d_one": d_one, "tolerance": opt_tol})
 
     # triangle inequality on random triples
-    M = max(N // 10, 1)
-    t3, x3, v3 = _random_points(rng, M, d)
-    d12, _ = geo.kinetic_distance_batch(t1[:M], x1[:M], v1[:M], t2[:M], x2[:M],
-                                        v2[:M], tol=tol)
-    d13, _ = geo.kinetic_distance_batch(t1[:M], x1[:M], v1[:M], t3, x3, v3,
-                                        tol=tol)
-    d32, _ = geo.kinetic_distance_batch(t3, x3, v3, t2[:M], x2[:M], v2[:M],
-                                        tol=tol)
-    tri = d12 - (d13 + d32)
+    tri = dist[:M] - (d13 + d32)
     records.append({"check": "triangle_inequality",
                     "passed": bool(np.all(tri <= 3 * tol)),
                     "max_violation": float(tri.max())})

@@ -129,13 +129,17 @@ class EnergyReport:
     skipped: int
 
 
-def caccioppoli_report(sol, P, samples, slack=0.2):
+# Relative discretization slack on the Caccioppoli bound.
+_CACCIOPPOLI_SLACK = 0.2
+
+
+def caccioppoli_report(sol, P, samples):
     """Realized local-energy ratios of an elliptic solution on sampled
     (center, r, R, kappa).
 
     ratio = grad-energy of (u - kappa)_+ over B_r divided by
     [(R-r)^-2 int_{B_R} w^2 + int_{B_R} |S| w], compared against the bound
-    max(2/lam, 16 Lam/lam) inflated by the discretization slack.  Samples
+    max(2/lam, 16 Lam/lam) inflated by _CACCIOPPOLI_SLACK.  Samples
     whose B_R leaves the domain are skipped.
     """
     if P.kind != "elliptic":
@@ -163,8 +167,9 @@ def caccioppoli_report(sol, P, samples, slack=0.2):
         records.append(EnergyRecord(tuple(np.atleast_1d(x0)), r, R, kappa,
                                     lhs, e, s, ratio))
     worst = max((rec.ratio for rec in records), default=0.0)
-    passed = worst <= bound * (1.0 + slack)
-    return EnergyReport(records, worst, bound, slack, passed, skipped)
+    passed = worst <= bound * (1.0 + _CACCIOPPOLI_SLACK)
+    return EnergyReport(records, worst, bound, _CACCIOPPOLI_SLACK, passed,
+                        skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,12 @@ def kinetic_distance_batch(t1, x1, v1, t2, x2, v2, tol=1e-9, n_iter=220):
     the transport root (x1-x2)/(t1-t2) when defined.  tol is accepted and
     unused: every pair gets the same n_iter iterations per start (ROADMAP
     item 1 plans a bisection whose bracket width is tol).
+
+    Rows are independent: every operation of the solve reads only its own
+    row's state and constants, so a row's (best, gap) is bit for bit the same
+    whatever other rows share its batch, and the batch of concatenated pair
+    sets returns the concatenation of their separate results.  `lab
+    verify-geometry` relies on this to take all its distances from one call.
     """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
@@ -458,7 +464,7 @@ def kinetic_distance(z1, z2, tol=1e-9):
     """
     if z1.d != z2.d:
         raise ValueError("dimension mismatch")
-    if float(tol) <= 0:
+    if not float(tol) > 0:  # NaN too
         raise ValueError("tol must be positive")
     for n_iter in (220, 800, 3000):
         best, gap = kinetic_distance_batch(

@@ -612,13 +612,17 @@ def solve_kinetic_fp(P, store_every=1):
 # Weak-form residual checks
 # ---------------------------------------------------------------------------
 
-def default_bumps(bounds, n=5, seed=0):
-    """A battery of bumps supported strictly inside the given box."""
+# Number of test bumps in the battery of residual_check.
+_N_BUMPS = 5
+
+
+def default_bumps(bounds, seed=0):
+    """A battery of _N_BUMPS bumps supported strictly inside the given box."""
     rng = np.random.default_rng(seed)
     lo, hi = np.array(bounds, dtype=float).T
     span = hi - lo
     bumps = []
-    for _ in range(n):
+    for _ in range(_N_BUMPS):
         w = span * rng.uniform(0.15, 0.3, size=len(bounds))
         c = rng.uniform(lo + 1.05 * w, hi - 1.05 * w)
         bumps.append(Bump(tuple(c), tuple(w)))

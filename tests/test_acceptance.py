@@ -149,7 +149,7 @@ def test_criterion_06_caccioppoli():
             r = rng.uniform(0.1, 0.3)
             samples.append((x0, r, r + rng.uniform(0.1, 0.35),
                             rng.uniform(-0.6, 0.6)))
-        rep = dg.caccioppoli_report(sol, P, samples, slack=0.2)
+        rep = dg.caccioppoli_report(sol, P, samples)
         total += len(rep.records)
         worst = max(worst, rep.worst_ratio / rep.bound)
         assert rep.passed

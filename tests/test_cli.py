@@ -77,10 +77,127 @@ def test_sup_norms_of_differences_equal_the_scalar_group_code(d):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_geometry_strict_optimality_tol_fails(tmp_path):
+def _separate_solves_verify_geometry(cfg):
+    """cmd_verify_geometry as it was before it took every distance from one
+    batched solve, verbatim: a batch for the samples, three for the triangle
+    triples and a laddered scalar solve per optimality instance."""
+    rng = np.random.default_rng(cfg["seed"])
+    N, d, tol = cfg["samples"], cfg["d"], cfg["tol"]
+    records, warnings = [], []
+    if N == 0:
+        warnings.append("samples=0: all geometry suites are vacuous")
+        records.append({"check": "vacuous", "passed": True})
+        return records, warnings, []
+
+    # group axioms on random triples
+    ok = True
+    worst = 0.0
+    for _ in range(min(N, 500)):
+        zs = [geo.PhasePoint(t, x, v) for t, x, v in zip(*cli._random_points(rng, 3, d))]
+        z1, z2, z3 = zs
+        lhs = geo.compose(geo.compose(z1, z2), z3)
+        rhs = geo.compose(z1, geo.compose(z2, z3))
+        err = max(abs(lhs.t - rhs.t), np.abs(lhs.x - rhs.x).max(),
+                  np.abs(lhs.v - rhs.v).max())
+        zi = geo.compose(z1, geo.inverse(z1))
+        err = max(err, abs(zi.t), np.abs(zi.x).max(), np.abs(zi.v).max())
+        worst = max(worst, err)
+        ok &= err < 1e-10
+    records.append({"check": "group_axioms", "passed": bool(ok),
+                    "worst_error": worst})
+
+    # distance sandwiched by the sup norm of the group difference
+    t1, x1, v1 = cli._random_points(rng, N, d)
+    t2, x2, v2 = cli._random_points(rng, N, d)
+    dist, gap = geo.kinetic_distance_batch(t1, x1, v1, t2, x2, v2, tol=tol)
+    norms = cli._sup_norms_of_differences(t1, x1, v1, t2, x2, v2)
+    lower_ok = bool(np.all(dist >= 0.5 * norms - tol))
+    upper_ok = bool(np.all(dist <= norms + tol))
+    records.append({"check": "distance_bounds", "passed": lower_ok and upper_ok,
+                    "max_lower_violation": float(np.max(0.5 * norms - dist)),
+                    "max_upper_violation": float(np.max(dist - norms))})
+    rows = sorted(zip(range(N), dist.tolist(), norms.tolist()))
+    csvs = [("distance_samples.csv", ["index", "distance", "sup_norm"], rows)]
+
+    # optimality instances: pure velocity gap hits the 1/2 bound, pure time
+    # gap hits the upper bound; both must reproduce the exact value
+    z_a = geo.PhasePoint(0.0, np.zeros(d), 0.5 * np.eye(d)[0])
+    z_b = geo.PhasePoint(0.0, np.zeros(d), -0.5 * np.eye(d)[0])
+    d_half = geo.kinetic_distance(z_a, z_b, tol=min(tol, 1e-6))
+    z_c = geo.PhasePoint(1.0, np.zeros(d), np.zeros(d))
+    z_o = geo.PhasePoint(0.0, np.zeros(d), np.zeros(d))
+    d_one = geo.kinetic_distance(z_c, z_o, tol=min(tol, 1e-6))
+    opt_tol = cfg["optimality_tol"]
+    opt_ok = abs(d_half - 0.5) <= opt_tol and abs(d_one - 1.0) <= opt_tol
+    records.append({"check": "optimality_instances", "passed": bool(opt_ok),
+                    "d_half": d_half, "d_one": d_one, "tolerance": opt_tol})
+
+    # triangle inequality on random triples
+    M = max(N // 10, 1)
+    t3, x3, v3 = cli._random_points(rng, M, d)
+    d12, _ = geo.kinetic_distance_batch(t1[:M], x1[:M], v1[:M], t2[:M], x2[:M],
+                                        v2[:M], tol=tol)
+    d13, _ = geo.kinetic_distance_batch(t1[:M], x1[:M], v1[:M], t3, x3, v3,
+                                        tol=tol)
+    d32, _ = geo.kinetic_distance_batch(t3, x3, v3, t2[:M], x2[:M], v2[:M],
+                                        tol=tol)
+    tri = d12 - (d13 + d32)
+    records.append({"check": "triangle_inequality",
+                    "passed": bool(np.all(tri <= 3 * tol)),
+                    "max_violation": float(tri.max())})
+
+    # cylinder membership invariance under the kinetic dilation
+    ok = True
+    for _ in range(200):
+        z0 = geo.PhasePoint(*[a[0] for a in cli._random_points(rng, 1, d)])
+        r = rng.uniform(0.2, 2.0)
+        Q = geo.KineticCylinder(z0, r)
+        z = geo.PhasePoint(z0.t - rng.uniform(0, r * r) * 0.99,
+                           z0.x + rng.uniform(-1, 1, d) * r ** 3 * 0.5,
+                           z0.v + rng.uniform(-1, 1, d) * r * 0.5)
+        if not geo.cylinder_contains(Q, z):
+            continue
+        R = rng.uniform(0.5, 2.0)
+        Qs = geo.KineticCylinder(geo.scale(z0, R), Q.radius * R)
+        ok &= geo.cylinder_contains(Qs, geo.scale(z, R))
+    records.append({"check": "membership_dilation", "passed": bool(ok)})
+    return records, warnings, csvs
+
+
+@pytest.mark.parametrize("seed, samples", [(4, 30), (9, 21)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_geometry_one_batch_equals_the_separate_solves(tmp_path, d, seed, samples):
+    cfg = {"seed": seed, "samples": samples, "d": d}
+    code, report, outdir = _run(tmp_path, "verify-geometry", cfg)
+    want, _, csvs = _separate_solves_verify_geometry(
+        dict(cli._SCHEMAS["verify-geometry"], **cfg))
+    assert code == 0
+    # JSON text tells -0.0 from 0.0 and writes every float's shortest repr
+    assert (json.dumps(report["records"], sort_keys=True)
+            == json.dumps(want, sort_keys=True))
+    (name, names, rows), = csvs
+    cli.write_csv(tmp_path / name, names, rows)
+    assert (outdir / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_geometry_strict_optimality_tol_fails(tmp_path, monkeypatch):
+    # the solve returns both optimality values exactly, so this one misses
+    # them (the last two rows of its batch) by 1e-9: inside the default
+    # optimality_tol, outside a strict one
+    solve = geo.kinetic_distance_batch
+
+    def missing_the_optimality_rows(*args, **kwargs):
+        best, gap = solve(*args, **kwargs)
+        best[-2:] += 1e-9
+        return best, gap
+
+    monkeypatch.setattr(geo, "kinetic_distance_batch", missing_the_optimality_rows)
+    code, _, _ = _run(tmp_path, "verify-geometry", {"seed": 7, "samples": 10},
+                      out="default")
+    assert code == 0
     code, report, _ = _run(tmp_path, "verify-geometry",
                            {"seed": 7, "samples": 10,
-                            "optimality_tol": -1.0})
+                            "optimality_tol": 1e-12})
     assert code == 2
     rec = {r["check"]: r for r in report["records"]}
     assert not rec["optimality_instances"]["passed"]
@@ -214,6 +331,11 @@ def test_int_config_value_is_accepted_for_a_float_field(tmp_path):
     ("harnack", {"lam": -1}, "lam"),
     ("harnack", {"omega": 1.5}, "omega"),
     ("harnack", {"seed": -1}, "seed"),
+    ("verify-geometry", {"samples": 50, "optimality_tol": float("nan")},
+     "optimality_tol"),
+    ("verify-geometry", {"samples": 50, "optimality_tol": -1.0}, "optimality_tol"),
+    ("verify-kernel", {"adjoint_threshold": float("nan")}, "adjoint_threshold"),
+    ("verify-kernel", {"adjoint_threshold": -1.0}, "adjoint_threshold"),
 ])
 def test_config_value_out_of_range_is_config_error(tmp_path, capsys, command,
                                                    cfg, key):

@@ -108,8 +108,8 @@ def test_caccioppoli_elliptic_within_bound():
         r = rng.uniform(0.15, 0.3)
         samples.append((x0, r, r + rng.uniform(0.15, 0.3),
                         rng.uniform(-0.5, 0.5)))
-    rep = dg.caccioppoli_report(sol, P, samples, slack=0.2)
-    assert rep.passed
+    rep = dg.caccioppoli_report(sol, P, samples)
+    assert rep.passed and rep.slack == 0.2
     assert rep.bound == pytest.approx(max(2 / 0.2, 16 / 0.2))
     assert rep.skipped == 0
 

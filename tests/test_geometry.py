@@ -98,6 +98,8 @@ def test_distance_input_validation():
         geo.kinetic_distance(point(0, 0, 0), point(0, 0, 0, d=2))
     with pytest.raises(ValueError):
         geo.kinetic_distance(point(0, 0, 0), point(1, 0, 0), tol=-1.0)
+    with pytest.raises(ValueError):
+        geo.kinetic_distance(point(0, 0, 0), point(1, 0, 0), tol=float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +285,43 @@ def test_fixed_point_rows_are_retired(monkeypatch):
     # without retirement every one of the 5 starts hands all B rows to the
     # objective at least 4 times per iteration
     assert sum(calls) < 0.5 * 5 * B * 4 * n_iter
+
+
+def _optimality_pairs(d):
+    """The optimality pairs of `lab verify-geometry`: a pure velocity gap
+    (exact distance 1/2) and a pure unit time gap (exact distance 1)."""
+    e1, zero = np.eye(d)[:1], np.zeros((1, d))
+    return (np.array([0.0, 1.0]), np.zeros((2, d)), np.vstack([0.5 * e1, zero]),
+            np.zeros(2), np.zeros((2, d)), np.vstack([-0.5 * e1, zero]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_concatenated_batch_equals_the_separate_batches_bit_for_bit(d):
+    rng = np.random.default_rng(50 + d)
+    sets = [_pairs(rng, d, n=40, k=5),          # dt == 0, v1 == v2, z1 == z2
+            [a[:1] for a in _pairs(rng, d)],    # B = 1, sample-like
+            _optimality_pairs(d),
+            _pairs(rng, d, n=12, k=0),
+            [a[5:6] for a in _pairs(rng, d)]]   # B = 1, v1 == v2
+    separate = [geo.kinetic_distance_batch(*s) for s in sets]
+    best, gap = geo.kinetic_distance_batch(
+        *(np.concatenate([s[k] for s in sets]) for k in range(6)))
+    assert np.array_equal(_bits(best), _bits(np.concatenate([b for b, _ in separate])))
+    assert np.array_equal(_bits(gap), _bits(np.concatenate([g for _, g in separate])))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_optimality_rows_close_at_the_first_rung(d):
+    # the 220-iteration batch already certifies both pairs, so a batch row
+    # equals the laddered scalar solve
+    args = _optimality_pairs(d)
+    best, gap = geo.kinetic_distance_batch(*args)
+    assert np.array_equal(gap, [0.0, 0.0])
+    for i in range(2):
+        z1, z2 = (geo.PhasePoint(args[j][i], args[j + 1][i], args[j + 2][i])
+                  for j in (0, 3))
+        assert _bits(best[i]) == _bits(np.float64(
+            geo.kinetic_distance(z1, z2, tol=1e-6)))
 
 
 @pytest.mark.parametrize("bad", ["x1", "v1", "x2", "v2"])
