@@ -78,7 +78,7 @@ _RANGES = {
     "m": "[1, inf)", "maximal_fields": "[1, inf)",
     "geometry": ("parabolic", "kinetic"), "ink_spots": "[0, inf)",
     "m_ink": "[1, inf)", "r0": "(0, 1]", "optimality_tol": "(0, inf)",
-    "adjoint_threshold": "(0, inf)",
+    "adjoint_threshold": "(0, inf)", "floor": "(-inf, inf)",
 }
 
 

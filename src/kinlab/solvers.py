@@ -15,7 +15,9 @@ box; kinetic problems are periodic in x and Dirichlet 0 in v.  Dirichlet
 data is imposed at ghost cell centers half a cell outside the box, which
 keeps the stencil symmetric and exact on quadratic polynomials.  Their
 Jacobi-preconditioned conjugate gradients work in preallocated buffers, so
-an iteration allocates no array.
+an iteration allocates no array, and call no BLAS routine: every inner
+product and norm is a pairwise `.sum()`.  The operator takes each
+neighbour difference as one contiguous pass at a fixed flat shift.
 
 Time stepping is implicit Euler throughout (no stability constraint).  The
 kinetic solver splits each step into an exact semi-Lagrangian shift
@@ -284,42 +286,53 @@ class _DiffusionOperator:
     def __init__(self, axes, A, boundary=0.0):
         self.axes = axes
         pts = _cell_points(axes)
+        shape = pts.shape[:-1]
         self.face_coef = []      # ax.n + 1 faces along axis k
         self.bdry_val = []       # Dirichlet data at the (low, high) ghosts
-        self._flux = []          # per axis: buffer, its views, u's slices
+        self._flux = []          # per axis: flat stride, slabs, face factors
         for k, ax in enumerate(axes):
-            self.face_coef.append(_faces(A, pts, ax, k, min(k, A.d_mat - 1)))
+            face = _faces(A, pts, ax, k, min(k, A.d_mat - 1))
+            self.face_coef.append(face)
             glo, ghi = _ghost_points(pts, ax, k)
             self.bdry_val.append((_eval(boundary, glo).take(0, axis=k),
                                   _eval(boundary, ghi).take(0, axis=k)))
             head = (slice(None),) * k
             first, last = head + (slice(None, 1),), head + (slice(-1, None),)
-            below, above = head + (slice(None, -1),), head + (slice(1, None),)
-            buf = np.empty(self.face_coef[-1].shape)
-            inner = head + (slice(1, -1),)
-            self._flux.append((buf, buf[first], buf[inner], buf[last],
-                               buf[below], buf[above], first, last, below, above))
-        self._term = np.empty(pts.shape[:-1])
+            self._flux.append((math.prod(shape[k + 1:]), first, last,
+                               np.ascontiguousarray(face[head + (slice(None, -1),)]),
+                               face[last].copy(), np.empty(face[last].shape)))
+        self._flux_buf = np.empty(shape)     # flux through each low face
+        self._term = np.empty(shape)
 
     def apply(self, u, out=None):
         """-div flux with zero Dirichlet data (the homogeneous part), into
-        out when given (it must not overlap u)."""
+        out when given (it must not overlap u).
+
+        Each difference along axis k is one contiguous pass between flat
+        views s = prod(shape[k+1:]) apart; the first or last slab along k,
+        where such a pass wraps to another line, is then rewritten from the
+        ghosts.
+        """
         out = np.empty_like(u) if out is None else out
+        uf = np.ascontiguousarray(u).reshape(-1)
+        G, T = self._flux_buf, self._term
+        gf, tf = G.reshape(-1), T.reshape(-1)
         # out starts at +0.0, so it never holds -0.0
         out.fill(0.0)
-        term = self._term
-        for ax, face, (buf, b_first, b_inner, b_last, lo, hi,
-                       first, last, below, above) in zip(
-                self.axes, self.face_coef, self._flux):
-            # flux through each face, the ghost values being 0: the
-            # subtractions of np.diff with zero padding (0.0 - u, not -u)
-            np.subtract(u[first], 0.0, out=b_first)
-            np.subtract(u[above], u[below], out=b_inner)
-            np.subtract(0.0, u[last], out=b_last)
-            np.multiply(buf, face, out=buf)
-            np.subtract(lo, hi, out=term)
-            np.divide(term, ax.h * ax.h, out=term)
-            np.add(out, term, out=out)
+        for ax, (s, first, last, face_lo, face_hi, hi) in zip(self.axes, self._flux):
+            # flux through each cell's low face, the ghost values being 0:
+            # the subtractions of np.diff with zero padding (0.0 - u, not -u)
+            np.subtract(uf[s:], uf[:-s], out=gf[s:])
+            np.subtract(u[first], 0.0, out=G[first])
+            np.multiply(G, face_lo, out=G)
+            # and through the high face of the last slab
+            np.subtract(0.0, u[last], out=hi)
+            np.multiply(hi, face_hi, out=hi)
+            # low minus high flux of each cell
+            np.subtract(gf[:-s], gf[s:], out=tf[:-s])
+            np.subtract(G[last], hi, out=T[last])
+            np.divide(T, ax.h * ax.h, out=T)
+            np.add(out, T, out=out)
         return out
 
     def boundary_rhs(self):
@@ -351,11 +364,12 @@ def _pcg(apply_op, rhs, diag, tol=1e-10, max_iter=20000, shift=0.0):
     """Jacobi-preconditioned conjugate gradients for (shift I + L) u = rhs.
 
     apply_op(p, out=...) writes L p into out.  An iteration allocates
-    nothing: Ap, z and one scratch vector live for the whole solve.  The
-    inner products are pairwise `.sum()`s of full-shape products, as the
-    rounding of the iterates depends on that order.  Raises SolverError
-    at the first non-finite residual and when max_iter iterations do not
-    reach tol.
+    nothing: Ap, z and one scratch vector live for the whole solve.  Every
+    inner product, the residual norms included, is a pairwise `.sum()` of
+    a full-shape product, as the rounding of the iterates depends on that
+    order; no BLAS routine runs, so the solve keeps to one thread.  Raises
+    SolverError at the first non-finite residual and when max_iter
+    iterations do not reach tol.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
@@ -366,7 +380,7 @@ def _pcg(apply_op, rhs, diag, tol=1e-10, max_iter=20000, shift=0.0):
     p = z.copy()
     Ap, tmp = np.empty_like(rhs), np.empty_like(rhs)
     rz = float(np.multiply(r, z, out=tmp).sum())
-    nrhs = float(np.linalg.norm(rhs))
+    nrhs = math.sqrt(float(np.multiply(rhs, rhs, out=tmp).sum()))
     history = []
     if nrhs == 0.0:
         return x, history
@@ -378,7 +392,7 @@ def _pcg(apply_op, rhs, diag, tol=1e-10, max_iter=20000, shift=0.0):
         alpha = rz / float(np.multiply(p, Ap, out=tmp).sum())
         x += np.multiply(alpha, p, out=tmp)
         r -= np.multiply(alpha, Ap, out=tmp)
-        res = float(np.linalg.norm(r)) / nrhs
+        res = math.sqrt(float(np.multiply(r, r, out=tmp).sum())) / nrhs
         history.append(res)
         if res <= tol:
             return x, history
