@@ -17,7 +17,6 @@ for the wall_clock_s field.
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -486,10 +485,13 @@ def cmd_covering(cfg, jobs, outdir):
         bad = 0
         for i in range(cfg["ink_spots"]):
             inst_rng = np.random.default_rng(cfg["seed"] + 7000 + i)
-            E, F = cov.synthesize_ink_spots_instance(
-                geometry, cfg["m_ink"], cfg["r0"], inst_rng,
-                cells_per_unit=48 if geometry == "kinetic" else 96,
-                stride=2 if geometry == "kinetic" else 1)
+            try:
+                E, F = cov.synthesize_ink_spots_instance(
+                    geometry, cfg["m_ink"], cfg["r0"], inst_rng,
+                    cells_per_unit=48 if geometry == "kinetic" else 96,
+                    stride=2 if geometry == "kinetic" else 1)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
             rep = cov.ink_spots_check(E, F, geometry, cfg["m_ink"], cfg["r0"],
                                       stride=2 if geometry == "kinetic" else 1,
                                       stack_check_cap=100, rng=inst_rng)

@@ -19,16 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .gridfn import Axis, GridFunction
+from .gridfn import Axis
 from .geometry import (EuclideanBall, KineticCylinder, ParabolicCylinder,
-                       StackedCylinder, _cylinder_at, cylinder_mask, dilate_5Q)
+                       StackedCylinder, _cylinder_at, _unit_ball_volume,
+                       cylinder_mask, dilate_5Q)
 
 __all__ = [
     "CylinderFamily", "IntervalFamily", "RasterMask", "regions_intersect",
     "vitali_select", "maximal_function", "maximal_inequality_constant",
     "interval_stack_ratio", "stacked_union_ratio", "ink_spots_check",
-    "synthesize_ink_spots_instance", "lebesgue_differentiation_probe",
-    "crawling_constant", "leak_constant",
+    "synthesize_ink_spots_instance", "crawling_constant", "leak_constant",
 ]
 
 
@@ -425,7 +425,7 @@ def crawling_constant(d, geometry, mu=0.5):
 
 def leak_constant(d, geometry):
     """Constant C in the leakage allowance C m r0^2 of the stacked covering."""
-    ball = 2.0 if d == 1 else math.pi if d == 2 else 4.0 * math.pi / 3.0
+    ball = _unit_ball_volume(d)
     if geometry == "parabolic":
         return ball
     return (1.0 + d * 2.0 ** d) * ball ** 2
@@ -591,7 +591,8 @@ def synthesize_ink_spots_instance(geometry, m, r0, rng, cells_per_unit=96,
                                   n_seeds=4, k_cap=6, mu=0.5, stride=1):
     """Build an admissible (E, F) pair: E a union of small cylinders deep in
     Q1, F the union of E with the m-stacks of every half-filled family
-    cylinder, so the theorem hypothesis holds by construction."""
+    cylinder, so the theorem hypothesis holds by construction.  Raises
+    ValueError when the lattice resolves no dyadic radius below r0."""
     s = min(m * r0 * r0, 1.0)
     if geometry == "parabolic":
         roles = ["t", "x"]
@@ -602,6 +603,13 @@ def synthesize_ink_spots_instance(geometry, m, r0, rng, cells_per_unit=96,
         bounds = [(-1.0, s), (-1.0 - xw, 1.0 + xw), (-1.0, 1.0)]
     E = RasterMask.for_box(bounds, roles, cells_per_unit)
     radii_avail = _dyadic_radii(E, geometry, k_cap)
+    if not radii_avail:
+        raise ValueError(f"m = {m} and r0 = {r0} leave the ink-spots lattice "
+                         "no resolved dyadic radius")
+    if radii_avail[-1] >= r0:
+        # seeds of radius >= r0 would break the hypothesis in every instance
+        raise ValueError(f"r0 must be above {radii_avail[-1]}, the smallest dyadic "
+                         f"radius the ink-spots lattice resolves, got {r0}")
     small = [r for r in radii_avail if r < 0.6 * r0] or [radii_avail[-1]]
     for _ in range(n_seeds):
         r = small[int(rng.integers(len(small)))] * float(rng.uniform(0.8, 1.0))
@@ -629,40 +637,3 @@ def synthesize_ink_spots_instance(geometry, m, r0, rng, cells_per_unit=96,
             sl, cells = _stack_cells(E.axes, centers, base, m)
             F.mask[sl] |= cells
     return E, F
-
-
-# ---------------------------------------------------------------------------
-# Lebesgue differentiation probe
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LebesgueProbeReport:
-    radii: list
-    median_deviation: list
-    monotone: bool
-
-
-def lebesgue_differentiation_probe(g, samples=64, rng=None):
-    """Median over random anchors of the cylinder average of |g - g(z)|."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    roles = g.roles()
-    geometry = "kinetic" if "v" in roles else "parabolic"
-    tspan = g.axes[0].hi - g.axes[0].lo
-    rmax = 0.5 * math.sqrt(tspan)
-    radii = [rmax / 2 ** k for k in range(4)]
-    vals = g.values
-    devs = {r: [] for r in radii}
-    ones = {r: _cyl_sums(np.ones_like(vals), g.axes, r, geometry)[0] for r in radii}
-    # |g - g(z)| averages need per-anchor recentering; do it per sample
-    shape = vals.shape
-    for _ in range(samples):
-        idx = tuple(int(rng.integers(max(1, n // 4), max(2, 3 * n // 4))) for n in shape)
-        gz = vals[idx]
-        for r in radii:
-            s, cnt = _cyl_sums(np.abs(vals - gz), g.axes, r, geometry)
-            s1 = ones[r]
-            if s1[idx] > 0:
-                devs[r].append(s[idx] / s1[idx])
-    med = [float(np.median(devs[r])) for r in radii]
-    monotone = all(med[i] >= med[i + 1] - 1e-12 for i in range(len(med) - 1))
-    return LebesgueProbeReport(radii, med, monotone)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfn import GridFunction
-from .geometry import EuclideanBall, _cylinder_at, cylinder_mask
+from .geometry import (EuclideanBall, _cylinder_at, _unit_ball_volume,
+                       cylinder_mask)
 
 __all__ = [
     "truncate", "caccioppoli_report", "iterate_lemma", "oscillation_profile",
@@ -408,8 +409,7 @@ def intermediate_value_stats(u, C_PW=None):
     out = {"low": low, "high": high, "mid": mid, "grad_norm": gnorm,
            "measured_C": measured_C}
     if C_PW is not None:
-        ball = 2.0 if len(u.axes) == 1 else math.pi
-        out["C_IVL"] = 2.0 * C_PW * ball
+        out["C_IVL"] = 2.0 * C_PW * _unit_ball_volume(len(u.axes))
         out["within_C_IVL"] = measured_C <= out["C_IVL"]
     return out
 

@@ -62,10 +62,6 @@ class PhasePoint:
     def d(self):
         return self.x.shape[0]
 
-    def flat(self):
-        """Serialize as (t, x[0..d), v[0..d))."""
-        return np.concatenate(([self.t], self.x, self.v))
-
 
 def origin(d):
     return PhasePoint(0.0, np.zeros(d), np.zeros(d))
@@ -119,6 +115,13 @@ class EuclideanBall:
     @property
     def d(self):
         return self.center.shape[0]
+
+
+def _unit_ball_volume(d):
+    """|B_1| in R^d, d = 1, 2, 3."""
+    if d not in (1, 2, 3):
+        raise ValueError(f"unit ball volume tabulated for d = 1, 2, 3, got {d}")
+    return 2.0 if d == 1 else math.pi if d == 2 else 4.0 * math.pi / 3.0
 
 
 @dataclass(frozen=True)

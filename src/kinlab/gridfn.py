@@ -1,23 +1,15 @@
-"""Uniform tensor-lattice functions with axis roles and a small on-disk format.
+"""Uniform tensor-lattice functions with axis roles.
 
 A GridFunction stores cell-centered values over a box.  Axis roles are 't',
 'x' or 'v'; solvers and measurement routines use the roles to find the time
 axis and the velocity block without positional conventions.
-
-On-disk format: a one-line JSON header (axis roles, bounds, counts, dtype,
-endianness note) terminated by a newline, followed by the value array as
-row-major (C-order) little-endian float64.  A CSV export is provided for
-plotting; floats are written with 17 significant digits.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["Axis", "GridFunction"]
-
-_MAGIC = "kinlab-grid-v1"
 
 
 @dataclass(frozen=True)
@@ -91,9 +83,6 @@ class GridFunction:
     def roles(self):
         return tuple(a.role for a in self.axes)
 
-    def axis_indices(self, role):
-        return [i for i, a in enumerate(self.axes) if a.role == role]
-
     def centers(self):
         """Per-axis cell-center coordinate arrays."""
         return [a.centers() for a in self.axes]
@@ -105,9 +94,6 @@ class GridFunction:
         return GridFunction(self.axes, values)
 
     # ---- calculus ----------------------------------------------------------
-
-    def integrate(self):
-        return float(self.values.sum()) * self.cell_volume
 
     def norm_lp(self, p):
         v = self.values
@@ -141,40 +127,3 @@ class GridFunction:
         out[~inside] = 0.0
         outside_fraction = float((~inside).mean()) if flat.size else 0.0
         return out.reshape(pts.shape[:-1]), outside_fraction
-
-    # ---- persistence -------------------------------------------------------
-
-    def save(self, path):
-        header = {
-            "magic": _MAGIC,
-            "axes": [{"role": a.role, "lo": a.lo, "hi": a.hi, "n": a.n}
-                     for a in self.axes],
-            "dtype": "float64",
-            "order": "C",
-            "endianness": "little",
-        }
-        with open(path, "wb") as fh:
-            fh.write((json.dumps(header) + "\n").encode("utf-8"))
-            fh.write(self.values.astype("<f8").tobytes(order="C"))
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "rb") as fh:
-            header = json.loads(fh.readline().decode("utf-8"))
-            if header.get("magic") != _MAGIC:
-                raise ValueError("not a kinlab grid file")
-            axes = [Axis(a["role"], a["lo"], a["hi"], a["n"]) for a in header["axes"]]
-            shape = tuple(a.n for a in axes)
-            raw = fh.read()
-        values = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
-        return cls(axes, values)
-
-    def to_csv(self, path):
-        """One row per cell: coordinates then value, 17 significant digits."""
-        grids = self.meshgrid()
-        cols = [g.ravel() for g in grids] + [self.values.ravel()]
-        names = [f"{a.role}{i}" for i, a in enumerate(self.axes)] + ["value"]
-        with open(path, "w") as fh:
-            fh.write(",".join(names) + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(f"{c:.17g}" for c in row) + "\n")

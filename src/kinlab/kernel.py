@@ -1,4 +1,4 @@
-"""Kolmogorov fundamental solution, group convolution and integrability probes.
+"""Kolmogorov fundamental solution and group convolution.
 
 The kernel
 
@@ -27,11 +27,9 @@ import numpy as np
 from .gridfn import Axis, GridFunction, _stencil
 
 __all__ = [
-    "gamma", "gamma1", "gamma_x", "gamma_v", "fourier_symbol",
-    "kin_convolve", "young_check", "weak_lp_norm", "scaled_integrability_probe",
+    "gamma", "gamma1", "kin_convolve", "young_check", "weak_lp_norm",
     "kolmogorov_residual", "residual_convergence_order", "Bump",
-    "adjoint_identity_check", "frac_laplacian_x", "x_regularity_exponents",
-    "gamma_tail_mass",
+    "adjoint_identity_check", "gamma_tail_mass",
 ]
 
 
@@ -73,47 +71,6 @@ def gamma(t, x, v, d=None):
     np.exp(s, out=s)
     np.copyto(s, 0.0, where=~(t > 0.0))
     return s if s.ndim else float(s)
-
-
-def gamma_x(t, x, v, d=None):
-    """Scaled spatial gradient t * grad_x gamma (zero vector for t <= 0)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if d is None:
-        d = x.shape[-1]
-    t = np.asarray(t, dtype=float)
-    tpos = np.where(t > 0.0, t, 1.0)
-    g = gamma(t, x, v, d)
-    grad = -6.0 * (x - 0.5 * tpos[..., None] * v) / tpos[..., None] ** 2
-    out = np.asarray(g)[..., None] * grad
-    return np.where(np.asarray(t)[..., None] > 0.0, out, 0.0)
-
-
-def gamma_v(t, x, v, d=None):
-    """Velocity gradient grad_v gamma (zero vector for t <= 0)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if d is None:
-        d = x.shape[-1]
-    t = np.asarray(t, dtype=float)
-    tpos = np.where(t > 0.0, t, 1.0)
-    g = gamma(t, x, v, d)
-    grad = (3.0 * (x - 0.5 * tpos[..., None] * v) / tpos[..., None] ** 2
-            - 0.5 * v / tpos[..., None])
-    out = np.asarray(g)[..., None] * grad
-    return np.where(np.asarray(t)[..., None] > 0.0, out, 0.0)
-
-
-def fourier_symbol(t, phi, xi):
-    """Fourier multiplier exp(-int_0^t |s phi - xi|^2 ds) of the evolution."""
-    t = np.asarray(t, dtype=float)
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    p2 = np.sum(phi * phi, axis=-1)
-    x2 = np.sum(xi * xi, axis=-1)
-    px = np.sum(phi * xi, axis=-1)
-    val = np.exp(-(t ** 3 * p2 / 3.0 - t ** 2 * px + t * x2))
-    return val if val.ndim else float(val)
 
 
 def gamma_tail_mass(L, d=1):
@@ -294,70 +251,6 @@ def young_check(f, g, p, q):
     lhs = conv.out.norm_lp(r)
     rhs = f.norm_lp(p) * g.norm_lp(q)
     return YoungReport(p, q, r, lhs, rhs, lhs <= rhs * 1.05)
-
-
-# ---------------------------------------------------------------------------
-# Integrability probes
-# ---------------------------------------------------------------------------
-
-@dataclass
-class IntegrabilityReport:
-    p: float
-    beta0: float
-    d: int
-    exponent: float            # (2d + beta0) p - 2d; integrable iff < 1
-    should_converge: bool
-    cauchy_increments: list
-    converged: bool
-    tail_values: list
-
-
-def scaled_integrability_probe(beta0, G, p, T, eps_seq=None):
-    """Integrate ||F(t)||_p^p over (eps, T) for F = t^{-2d-beta0} G(scaled).
-
-    The t-integral reduces by exact change of variables to
-    ||G||_p^p * t^{-((2d+beta0)p - 2d)}; the probe integrates that density
-    numerically over a shrinking eps-sequence (at least three distinct values
-    in (0, T); taken in decreasing order) and flags convergence when the
-    tail increment per unit of log(eps) shrinks between the last two steps.
-    That increment scales like eps^(1 - e) for the exponent e, so its ratio
-    (2^(e-1) when eps halves) is below 1 exactly under the printed condition
-    e = (2d+beta0)p - 2d < 1.
-    """
-    d = len([r for r in G.roles() if r == "x"])
-    if d == 0:
-        raise ValueError("G needs x/v axes")
-    Gp = float((np.abs(G.values) ** p).sum()) * G.cell_volume
-    expo = (2.0 * d + beta0) * p - 2.0 * d
-    if eps_seq is None:
-        eps_seq = [T / 2 ** k for k in range(3, 14)]
-    eps_seq = sorted({float(e) for e in eps_seq}, reverse=True)
-    if len(eps_seq) < 3 or not 0.0 < eps_seq[-1] < eps_seq[0] < T:
-        raise ValueError("eps_seq needs at least three distinct values in (0, T)")
-    tails = []
-    for eps in eps_seq:
-        ts = np.exp(np.linspace(math.log(eps), math.log(T), 4000))
-        dens = Gp * ts ** (-expo)
-        # trapezoid rule (np.trapz is gone from numpy 2.x)
-        tails.append(float((np.diff(ts) * (dens[1:] + dens[:-1]) / 2.0).sum()))
-    inc = [tails[i + 1] - tails[i] for i in range(len(tails) - 1)]
-    rate = [inc[i] / math.log(eps_seq[i] / eps_seq[i + 1]) for i in range(len(inc))]
-    converged = abs(rate[-1]) < abs(rate[-2]) or rate[-1] == 0.0
-    return IntegrabilityReport(p, beta0, d, expo, expo < 1.0, inc, converged, tails)
-
-
-def x_regularity_exponents(eps, d):
-    """Admissible exponent upper bounds for the x-fractional kernels.
-
-    For eps in (0, 1/3): the fractionally differentiated kernel lies in L^p
-    for p < 1 + (2 - 3 eps)/(4d + 3 eps) and its first kernels' analogue in
-    L^q for q < 1 + (1 - 3 eps)/(4d + 1 + 3 eps).
-    """
-    if not 0.0 < eps < 1.0 / 3.0:
-        raise ValueError("eps must lie in (0, 1/3)")
-    p_max = 1.0 + (2.0 - 3.0 * eps) / (4.0 * d + 3.0 * eps)
-    q_max = 1.0 + (1.0 - 3.0 * eps) / (4.0 * d + 1.0 + 3.0 * eps)
-    return p_max, q_max
 
 
 # ---------------------------------------------------------------------------
@@ -569,28 +462,3 @@ def adjoint_identity_check(bump, n_quad=(40, 72, 48), band_cells=3):
     num = np.sqrt(np.mean((lhs + phi_vals) ** 2))
     den = np.sqrt(np.mean(phi_vals ** 2))
     return AdjointReport(float(num / den), (nt, nx, nv), len(pts), delta)
-
-
-# ---------------------------------------------------------------------------
-# Fractional Laplacian in x
-# ---------------------------------------------------------------------------
-
-def frac_laplacian_x(f, alpha):
-    """Spectral (-lap_x)^{alpha/2} for grids periodic in their x axes."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    ix = f.axis_indices("x")
-    if not ix:
-        raise ValueError("no x axes")
-    vals = f.values
-    F = np.fft.fftn(vals, axes=ix)
-    k2 = np.zeros(vals.shape)
-    for ax in ix:
-        a = f.axes[ax]
-        freq = np.fft.fftfreq(a.n, d=a.h)
-        shape = [1] * vals.ndim
-        shape[ax] = a.n
-        k2 = k2 + (2.0 * math.pi * freq.reshape(shape)) ** 2
-    mult = k2 ** (alpha / 2.0)
-    out = np.fft.ifftn(F * mult, axes=ix).real
-    return f.copy_with(out)

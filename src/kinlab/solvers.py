@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridfn import Axis, GridFunction
+from .gridfn import GridFunction
 from .kernel import Bump
 
 __all__ = [

@@ -339,12 +339,23 @@ def test_int_config_value_is_accepted_for_a_float_field(tmp_path):
     ("harnack", {"floor": float("nan")}, "floor"),
     ("harnack", {"floor": float("inf")}, "floor"),
     ("harnack", {"floor": float("-inf")}, "floor"),
+    # below the smallest dyadic radius the ink-spots lattice resolves
+    ("covering", {"geometry": "kinetic", "r0": 0.5, "ink_spots": 1}, "r0"),
+    ("covering", {"geometry": "parabolic", "r0": 0.25, "ink_spots": 1}, "r0"),
 ])
 def test_config_value_out_of_range_is_config_error(tmp_path, capsys, command,
                                                    cfg, key):
     code, report, _ = _run(tmp_path, command, {"seed": 0, **cfg})
     assert code == 3 and report is None
     assert capsys.readouterr().err.startswith(f"config error: {key} must be")
+
+
+def test_ink_spots_lattice_without_a_resolved_radius_is_config_error(tmp_path, capsys):
+    # m_ink = 100 widens the x axis past the 384-cell cap: not even r = 1 is resolved
+    code, report, _ = _run(tmp_path, "covering",
+                           {"seed": 0, "m_ink": 100, "ink_spots": 1})
+    assert code == 3 and report is None
+    assert capsys.readouterr().err.startswith("config error: m = 100 and r0 = 1.0")
 
 
 def test_every_range_names_a_config_key_and_admits_its_defaults():

@@ -325,13 +325,3 @@ def test_ink_spots_reports_large_half_filled_cylinder(geometry, cells, stride):
              if v["reason"] == "half-filled cylinder with r >= r0"]
     assert large and all(v["radius"] >= 0.5 for v in large)
     _assert_hot_admissible(E, geometry, stride, rep.violations)
-
-
-def test_lebesgue_probe_monotone_on_smooth_field():
-    axes = [Axis("t", -1, 0, 24), Axis("x", -1, 1, 24), Axis("v", -1, 1, 24)]
-    T, X, V = np.meshgrid(*[a.centers() for a in axes], indexing="ij")
-    g = GridFunction(axes, np.sin(2 * T) + X ** 2 + 0.5 * V)
-    rep = cov.lebesgue_differentiation_probe(g, samples=32,
-                                             rng=np.random.default_rng(4))
-    assert rep.monotone
-    assert rep.median_deviation[-1] < rep.median_deviation[0]

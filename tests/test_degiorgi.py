@@ -200,6 +200,14 @@ def test_intermediate_value_elliptic_ramp():
     assert iv["within_C_IVL"]
 
 
+@pytest.mark.parametrize("d, ball", [(1, 2.0), (2, math.pi), (3, 4.0 * math.pi / 3.0)])
+def test_intermediate_value_constant_uses_the_unit_ball_of_its_dimension(d, ball):
+    axes = [Axis("x", -1.1, 1.1, 12) for _ in range(d)]
+    u = GridFunction(axes, 0.75 + np.meshgrid(*[a.centers() for a in axes],
+                                              indexing="ij")[0])
+    assert dg.intermediate_value_stats(u, C_PW=1.5)["C_IVL"] == 2.0 * 1.5 * ball
+
+
 def test_dg_membership_kinetic_finite_constant():
     sol, P = _kinetic_solution()
     rep = dg.dg_membership(sol, P, [((0.0, 0.0, 0.0), 0.3, 0.6, 0.4)])

@@ -19,26 +19,6 @@ def test_centers_and_volume():
     assert np.allclose(a.centers(), [0.125, 0.375, 0.625, 0.875])
     g = GridFunction([a, Axis("v", -1, 1, 5)])
     assert g.cell_volume == pytest.approx(0.25 * 0.4)
-    assert g.integrate() == 0.0
-
-
-def test_roundtrip_save_load(tmp_path):
-    rng = np.random.default_rng(0)
-    g = GridFunction([Axis("t", 0, 1, 3), Axis("x", -2, 2, 5), Axis("v", -1, 1, 4)],
-                     rng.normal(size=(3, 5, 4)))
-    path = tmp_path / "g.kgrid"
-    g.save(path)
-    h = GridFunction.load(path)
-    assert h.roles() == ("t", "x", "v")
-    assert np.array_equal(h.values, g.values)
-    assert [(a.lo, a.hi, a.n) for a in h.axes] == [(a.lo, a.hi, a.n) for a in g.axes]
-
-
-def test_load_rejects_foreign_file(tmp_path):
-    p = tmp_path / "junk"
-    p.write_bytes(b'{"magic": "something-else"}\n')
-    with pytest.raises(ValueError):
-        GridFunction.load(p)
 
 
 def test_sample_exact_on_multilinear():
@@ -70,12 +50,3 @@ def test_lp_norm_monotone_in_p_on_probability_cell(p):
 def test_norm_linf():
     g = GridFunction([Axis("x", 0, 1, 8)], np.arange(8.0))
     assert g.norm_lp(np.inf) == 7.0
-
-
-def test_csv_export(tmp_path):
-    g = GridFunction([Axis("x", 0, 1, 2)], np.array([1.0, 1 / 3]))
-    path = tmp_path / "g.csv"
-    g.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "x0,value"
-    assert "0.33333333333333331" in lines[2]

@@ -38,17 +38,6 @@ def test_unit_mass_quadrature():
     assert mass + ker.gamma_tail_mass(L, 1) == pytest.approx(1.0, abs=1e-7)
 
 
-def test_gradients_match_finite_differences():
-    eps = 1e-6
-    t, x, v = 0.7, np.array([0.3]), np.array([-0.4])
-    gx = ker.gamma_x(t, x, v, d=1)[0] / t  # stored scaled by t
-    fd = (ker.gamma(t, x + eps, v, 1) - ker.gamma(t, x - eps, v, 1)) / (2 * eps)
-    assert gx == pytest.approx(fd, rel=1e-5)
-    gv = ker.gamma_v(t, x, v, d=1)[0]
-    fd = (ker.gamma(t, x, v + eps, 1) - ker.gamma(t, x, v - eps, 1)) / (2 * eps)
-    assert gv == pytest.approx(fd, rel=1e-5)
-
-
 def test_kolmogorov_residual_small_and_shrinking():
     reps = []
     for h in (0.08, 0.04):
@@ -60,17 +49,6 @@ def test_kolmogorov_residual_small_and_shrinking():
         reps.append(ker.kolmogorov_residual(g))
     assert reps[0].l2_residual < 0.05
     assert reps[1].l2_residual < reps[0].l2_residual / 2.5
-
-
-def test_fourier_symbol_solves_transport_ode():
-    # d_t m = -|t phi - xi|^2 m along the characteristic in Fourier variables
-    phi, xi = np.array([0.7]), np.array([-0.3])
-    t, eps = 0.9, 1e-6
-    m1 = ker.fourier_symbol(t + eps, phi, xi)
-    m0 = ker.fourier_symbol(t - eps, phi, xi)
-    dm = (m1 - m0) / (2 * eps)
-    expect = -float(np.sum((t * phi - xi) ** 2)) * ker.fourier_symbol(t, phi, xi)
-    assert dm == pytest.approx(expect, rel=1e-5)
 
 
 @given(st.floats(min_value=1.0, max_value=4.0), st.integers(min_value=0, max_value=10))
@@ -288,47 +266,6 @@ def test_adjoint_identity_rejects_band_below_one_cell(band_cells):
     bump = ker.Bump(centers=(0.6, 0.0, 0.0), widths=(0.45, 0.8, 0.8))
     with pytest.raises(ValueError, match="band_cells"):
         ker.adjoint_identity_check(bump, n_quad=(20, 36, 24), band_cells=band_cells)
-
-
-def test_scaled_integrability_probe_follows_exponent():
-    G = GridFunction([Axis("x", -1, 1, 8), Axis("v", -1, 1, 8)], np.ones((8, 8)))
-    ok = ker.scaled_integrability_probe(0.3, G, 1.0, 1.0)
-    assert ok.should_converge and ok.converged
-    bad = ker.scaled_integrability_probe(1.5, G, 1.0, 1.0)
-    assert not bad.should_converge and not bad.converged
-
-
-@pytest.mark.parametrize("beta0", [0.6, 0.9])
-def test_scaled_integrability_probe_slow_tails_converge(beta0):
-    # exponents just below 1: the tail increments shrink only by 2^(e-1)
-    # per halving of eps, which the ratio test must still see
-    G = GridFunction([Axis("x", -1, 1, 8), Axis("v", -1, 1, 8)], np.ones((8, 8)))
-    rep = ker.scaled_integrability_probe(beta0, G, 1.0, 1.0)
-    assert rep.should_converge and rep.converged
-    eps = [1e-3, 0.3, 0.1, 0.01, 0.1]   # unordered, repeated, uneven steps
-    assert ker.scaled_integrability_probe(beta0, G, 1.0, 1.0, eps).converged
-    assert not ker.scaled_integrability_probe(1.2, G, 1.0, 1.0, eps).converged
-    with pytest.raises(ValueError):
-        ker.scaled_integrability_probe(beta0, G, 1.0, 1.0, [0.5, 0.25])
-
-
-def test_x_regularity_exponents_monotone():
-    p0, q0 = ker.x_regularity_exponents(0.3, 1)
-    p1, q1 = ker.x_regularity_exponents(0.1, 1)
-    assert p1 >= p0 and q1 >= q0
-
-
-def test_frac_laplacian_on_fourier_mode():
-    n = 64
-    axes = [Axis("x", 0.0, 1.0, n), Axis("v", -1, 1, 4)]
-    x = axes[0].centers()
-    vals = np.cos(2 * math.pi * 3 * x)[:, None] * np.ones((1, 4))
-    g = GridFunction(axes, vals)
-    out = ker.frac_laplacian_x(g, 0.5)
-    expect = (2 * math.pi * 3) ** 0.5 * vals
-    assert np.allclose(out.values, expect, atol=1e-9)
-    with pytest.raises(ValueError):
-        ker.frac_laplacian_x(g, 1.5)
 
 
 def _bump_and_interior_points(d, seed, n=40):
