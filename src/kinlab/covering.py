@@ -592,7 +592,9 @@ def synthesize_ink_spots_instance(geometry, m, r0, rng, cells_per_unit=96,
     """Build an admissible (E, F) pair: E a union of small cylinders deep in
     Q1, F the union of E with the m-stacks of every half-filled family
     cylinder, so the theorem hypothesis holds by construction.  Raises
-    ValueError when the lattice resolves no dyadic radius below r0."""
+    ValueError when the lattice resolves no dyadic radius below r0; when
+    the smallest resolved radius is 1, which no r0 in (0, 1] is above, the
+    message names m as the m_ink of `lab covering`."""
     s = min(m * r0 * r0, 1.0)
     if geometry == "parabolic":
         roles = ["t", "x"]
@@ -606,6 +608,11 @@ def synthesize_ink_spots_instance(geometry, m, r0, rng, cells_per_unit=96,
     if not radii_avail:
         raise ValueError(f"m = {m} and r0 = {r0} leave the ink-spots lattice "
                          "no resolved dyadic radius")
+    if radii_avail[-1] >= 1.0:
+        # no r0 in (0, 1] is above it; a smaller m gives a finer lattice
+        raise ValueError(f"m_ink must be below {m} at r0 = {r0}: the smallest "
+                         f"dyadic radius the ink-spots lattice resolves is "
+                         f"{radii_avail[-1]}, and r0 must be above it")
     if radii_avail[-1] >= r0:
         # seeds of radius >= r0 would break the hypothesis in every instance
         raise ValueError(f"r0 must be above {radii_avail[-1]}, the smallest dyadic "

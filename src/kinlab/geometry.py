@@ -301,112 +301,50 @@ def _distance_objective(w, dt, dx, v1, v2, a=None):
     return np.maximum(np.maximum(a, b), np.maximum(c, e))
 
 
-def _row_objective(w, consts):
-    """_distance_objective of points w (B, d) or simplex vertices (B, k, d),
-    row b against row b of consts = (a, dt, dx, v1, v2)."""
-    a, dt, dx, v1, v2 = consts
-    if w.ndim == 3:
-        return _distance_objective(w, dt[:, None], dx[:, None, :],
-                                   v1[:, None, :], v2[:, None, :], a=a[:, None])
-    return _distance_objective(w, dt, dx, v1, v2, a=a)
+# Rounding allowance of the level test, in units of the magnitudes it
+# combines: 16 unit roundoffs, several times what its operations and the
+# differencing of the inputs lose (about 0.3 of a unit on the test draws,
+# measured against an extended-precision rerun).
+_SLACK = 16 * 2.0 ** -53
+
+# The objective at the midpoint of v1, v2 is at most twice the distance
+# (both lie in [u/2, u], u the sup norm of the group difference), so about
+# 55 halvings leave no float between the ends of a bracket.
+_MAX_HALVINGS = 100
 
 
-# Iterations between the fixed-point checks of _nm_batch.
-_FIXED_POINT_EVERY = 4
+def _level_witness(s, a, h, c, e, dt):
+    """Test the level s of the distance objective around the midpoint w0.
 
-
-def _nm_batch(starts, consts, n_iter=220):
-    """Batched Nelder-Mead on the distance objective, one problem per row.
-
-    starts: (B, d) initial points; consts: the per-row constants (a, dt, dx,
-    v1, v2) of _distance_objective, a = |dt|^{1/2} of shape (B,), dt (B,),
-    the others (B, d).  Returns (B,) best values and (B,) value spread of the
-    final simplex (an optimality gap indicator) after exactly n_iter
-    iterations; there is no tolerance to stop at.
-
-    Every operation of an iteration acts on one row's own simplex, values and
-    constants, so a row whose state an iteration left bitwise unchanged is at
-    a fixed point: no later iteration changes it.  Every _FIXED_POINT_EVERY
-    iterations such rows are retired (their result written out) and the
-    working arrays and constants are compacted to the rows still moving.
-    The result is bit for bit that of running all rows n_iter iterations.
+    With w = w0 + y, y lies in the level set when s >= a, |y - h| <= s,
+    |y + h| <= s and |e - dt y| <= 2 s^3.  The two balls meet in a lens
+    symmetric about the axis through +-h; y is the point of that lens
+    nearest to c = e/dt (c = 0 when dt == 0, where every point of the lens
+    gives e - dt y = e), so the level set is empty exactly when y misses the
+    last condition.  Returns (ok, y): whether s passed and y, shape (B, d).
     """
-    B, d = starts.shape
-    h = 0.25
-    simplex = np.repeat(starts[:, None, :], d + 1, axis=1)
-    for i in range(d):
-        step = h * np.maximum(1.0, np.abs(starts[:, i]))
-        simplex[:, i + 1, i] += step
-
-    fvals = _row_objective(simplex, consts)  # (B, d+1)
-    best_val = np.empty(B)
-    gap = np.empty(B)
-    live = np.arange(B)  # the input row of each working row
-    rows = live[:, None]
-    for it in range(1, n_iter + 1):
-        # every step below rebinds simplex and fvals before writing to them,
-        # so the previous state can be held without a copy
-        prev = (simplex, fvals) if it % _FIXED_POINT_EVERY == 0 else None
-        order = np.argsort(fvals, axis=1)
-        simplex = simplex[rows, order]
-        fvals = fvals[rows, order]
-        centroid = simplex[:, :-1, :].mean(axis=1)
-        worst = simplex[:, -1, :]
-        xr = centroid + (centroid - worst)
-        fr = _row_objective(xr, consts)
-        better_than_best = fr < fvals[:, 0]
-        # expansion
-        xe = centroid + 2.0 * (centroid - worst)
-        fe = _row_objective(xe, consts)
-        use_e = better_than_best & (fe < fr)
-        # contraction (outside for fr < f_worst, inside otherwise)
-        reflect_ok = (fr < fvals[:, -2]) & ~better_than_best
-        xc_out = centroid + 0.5 * (centroid - worst)
-        fc_out = _row_objective(xc_out, consts)
-        xc_in = centroid - 0.5 * (centroid - worst)
-        fc_in = _row_objective(xc_in, consts)
-        new_pt = np.where(use_e[:, None], xe,
-                 np.where((better_than_best & ~use_e)[:, None], xr,
-                 np.where(reflect_ok[:, None], xr,
-                 np.where((fc_out < fr)[:, None], xc_out, xc_in))))
-        new_f = np.where(use_e, fe,
-                np.where(better_than_best & ~use_e, fr,
-                np.where(reflect_ok, fr,
-                np.where(fc_out < fr, fc_out, fc_in))))
-        accept = new_f < fvals[:, -1]
-        simplex[:, -1, :] = np.where(accept[:, None], new_pt, simplex[:, -1, :])
-        fvals[:, -1] = np.where(accept, new_f, fvals[:, -1])
-        # shrink the problems whose trial move failed
-        shrink = ~accept
-        if np.any(shrink):
-            best = simplex[:, 0:1, :]
-            shrunk = best + 0.5 * (simplex - best)
-            simplex = np.where(shrink[:, None, None], shrunk, simplex)
-            fvals = np.where(shrink[:, None], _row_objective(simplex, consts),
-                             fvals)
-        if prev is None or it == n_iter:
-            continue
-        # compare bit patterns, not values: -0.0 == 0.0
-        done = ((simplex.view(np.int64) == prev[0].view(np.int64)).all(axis=(1, 2))
-                & (fvals.view(np.int64) == prev[1].view(np.int64)).all(axis=1))
-        if done.any():
-            f = fvals[done]
-            lo = f.min(axis=1)
-            best_val[live[done]] = lo
-            gap[live[done]] = f.max(axis=1) - lo
-            keep = ~done
-            simplex, fvals, live = simplex[keep], fvals[keep], live[keep]
-            consts = tuple(c[keep] for c in consts)
-            rows = np.arange(len(live))[:, None]
-            if not len(live):
-                break
-    lo = fvals.min(axis=1)
-    best_val[live] = lo
-    gap[live] = fvals.max(axis=1) - lo
-    return best_val, gap
+    hn = np.linalg.norm(h, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # axis coordinate of c; the lens arc facing c lies on the sphere
+        # about the far centre f
+        p = np.where(hn > 0.0, (c * h).sum(axis=-1) / hn, 0.0)
+        f = np.where((p >= 0.0)[:, None], -h, h)
+        n = np.linalg.norm(c - f, axis=-1)
+        arc = f + (s / n)[:, None] * (c - f)
+        # the projection lies on the arc when its axis coordinate,
+        # s (|p| + |h|) / n - |h|, is >= 0; past the rim of the arc the
+        # nearest point is on the rim, the circle of radius
+        # sqrt(s^2 - |h|^2) about the axis, towards c
+        radial = c - (p / hn)[:, None] * h
+        q = np.linalg.norm(radial, axis=-1)
+        rim = (np.sqrt((s - hn) * (s + hn)) / q)[:, None] * radial
+        on_arc = (s * (np.abs(p) + hn) >= hn * n) | (q == 0.0)
+        y = np.where((n <= s)[:, None], c, np.where(on_arc[:, None], arc, rim))
+    ok = (a <= s) & (hn <= s)
+    return ok & (np.linalg.norm(e - dt[:, None] * y, axis=-1) <= 2.0 * s ** 3), y
 
 
-def kinetic_distance_batch(t1, x1, v1, t2, x2, v2, tol=1e-9, n_iter=220):
+def kinetic_distance_batch(t1, x1, v1, t2, x2, v2, tol=1e-9):
     """Vectorized kinetic distance for arrays of point pairs.
 
     Arrays: t* shape (B,), x*/v* shape (B, d), also at d = 1; any other
@@ -415,17 +353,26 @@ def kinetic_distance_batch(t1, x1, v1, t2, x2, v2, tol=1e-9, n_iter=220):
 
         max(|t1-t2|^{1/2}, |v1-w|, |v2-w|, 2^{-1/3} |(x1-x2) - (t1-t2) w|^{1/3})
 
-    by multi-start batched Nelder-Mead (_nm_batch, n_iter iterations, rows
-    retired at a bitwise fixed point) with starts {v1, v2, midpoint, 0} plus
-    the transport root (x1-x2)/(t1-t2) when defined.  tol is accepted and
-    unused: every pair gets the same n_iter iterations per start (ROADMAP
-    item 1 plans a bisection whose bracket width is tol).
+    by bisection on its level s (the objective is quasiconvex in w).  The
+    level set is empty for s < |t1-t2|^{1/2} and otherwise the intersection
+    of B(v1, s), B(v2, s) and B((x1-x2)/(t1-t2), 2 s^3/|t1-t2|), or, when
+    t1 == t2, of the first two if |x1-x2| <= 2 s^3; _level_witness decides
+    it.  Each row bisects [0, f(w0)], w0 = (v1+v2)/2, until no float lies
+    strictly between the ends.
 
-    Rows are independent: every operation of the solve reads only its own
-    row's state and constants, so a row's (best, gap) is bit for bit the same
-    whatever other rows share its batch, and the batch of concatenated pair
-    sets returns the concatenation of their separate results.  `lab
-    verify-geometry` relies on this to take all its distances from one call.
+    Returns (best, gap): best is the objective at an explicit witness, w0
+    or the point found at the lowest level that passed; best - gap is the
+    highest level that failed, lowered by the test's rounding allowance, so
+    a certified lower end.  gap is a few ulps of the magnitudes involved on
+    every row; tol does not change the solve (kinetic_distance compares
+    the gap with it).
+
+    Rows are independent: every operation reads only its own row's state,
+    and a row stops by its own rule, so a row's (best, gap) is bit for bit
+    the same whatever other rows share its batch, and the batch of
+    concatenated pair sets returns the concatenation of their separate
+    results.  `lab verify-geometry` relies on this to take all its
+    distances from one call.
     """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
@@ -441,42 +388,57 @@ def kinetic_distance_batch(t1, x1, v1, t2, x2, v2, tol=1e-9, n_iter=220):
                              f"t1 and d the width of x1; got shape {a.shape}")
     dt = t1 - t2  # (B,)
     dx = x1 - x2
-    dtc = dt[:, None]
+    a = np.abs(dt) ** 0.5
+    w0 = 0.5 * (v1 + v2)
+    h = 0.5 * (v1 - v2)
+    e = dx - dt[:, None] * w0
     with np.errstate(divide="ignore", invalid="ignore"):
-        transport_root = np.where(dtc != 0.0, dx / np.where(dtc == 0.0, 1.0, dtc),
-                                  0.5 * (v1 + v2))
-    starts = [v1, v2, 0.5 * (v1 + v2), np.zeros_like(v1), transport_root]
-    consts = (np.abs(dt) ** 0.5, dt, dx, v1, v2)
+        c = np.where((dt != 0.0)[:, None], e / dt[:, None], 0.0)
 
-    best = np.full(t1.shape, np.inf)
-    gap = np.zeros_like(best)
-    for s in starts:
-        val, g = _nm_batch(s, consts, n_iter=n_iter)
-        improved = val < best
-        gap = np.where(improved, g, gap)
-        best = np.minimum(best, val)
-    return best, gap
+    lo = np.zeros_like(dt)
+    f0 = hi = _distance_objective(w0, dt, dx, v1, v2, a=a)
+    y = np.zeros_like(w0)
+    for _ in range(_MAX_HALVINGS):
+        live = np.nextafter(lo, np.inf) < hi
+        if not live.any():
+            break
+        s = 0.5 * (lo + hi)
+        ok, y_s = _level_witness(s, a, h, c, e, dt)
+        ok &= live
+        hi = np.where(ok, s, hi)
+        lo = np.where(live & ~ok, s, lo)
+        y = np.where(ok[:, None], y_s, y)
+    best = np.minimum(f0, _distance_objective(w0 + y, dt, dx, v1, v2, a=a))
+    # a failed test shows the level empty with the ball radius lowered by
+    # eta_v and the bound 2 lo^3 by eta_x, which lowers a cube root by at
+    # most eta_x / (2 lo^2)
+    scale = np.linalg.norm(w0, axis=-1) + np.linalg.norm(h, axis=-1) + lo
+    eta_v = _SLACK * scale
+    eta_x = _SLACK * (2.0 * lo ** 3 + np.linalg.norm(dx, axis=-1) + np.abs(dt) * scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lower = lo - np.maximum(eta_v, eta_x / (2.0 * lo * lo))
+    return best, best - np.where(lower > 0.0, lower, 0.0)
 
 
 def kinetic_distance(z1, z2, tol=1e-9):
     """Kinetic distance between two phase points, to absolute accuracy tol.
 
     Symmetric, left invariant, 1-homogeneous under the kinetic dilation, and
-    sandwiched between 0.5*|z2^{-1} o z1|_inf and |z2^{-1} o z1|_inf.
-    Raises DistanceConvergenceError if the simplex solve cannot certify tol.
+    sandwiched between 0.5*|z2^{-1} o z1|_inf and |z2^{-1} o z1|_inf.  The
+    B = 1 row of kinetic_distance_batch; raises DistanceConvergenceError
+    when its certified gap exceeds tol, which only a tol below the float
+    resolution of the bracket can cause.
     """
     if z1.d != z2.d:
         raise ValueError("dimension mismatch")
     if not float(tol) > 0:  # NaN too
         raise ValueError("tol must be positive")
-    for n_iter in (220, 800, 3000):
-        best, gap = kinetic_distance_batch(
-            np.array([z1.t]), z1.x[None, :], z1.v[None, :],
-            np.array([z2.t]), z2.x[None, :], z2.v[None, :], tol=tol, n_iter=n_iter)
-        val, g = float(best[0]), float(gap[0])
-        if g <= tol:
-            return val
-    raise DistanceConvergenceError(val, g)
+    best, gap = kinetic_distance_batch(
+        np.array([z1.t]), z1.x[None, :], z1.v[None, :],
+        np.array([z2.t]), z2.x[None, :], z2.v[None, :])
+    if gap[0] > tol:
+        raise DistanceConvergenceError(float(best[0]), float(gap[0]))
+    return float(best[0])
 
 
 def kinetic_distance_grid(z1, z2, n=121):

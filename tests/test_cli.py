@@ -342,12 +342,23 @@ def test_int_config_value_is_accepted_for_a_float_field(tmp_path):
     # below the smallest dyadic radius the ink-spots lattice resolves
     ("covering", {"geometry": "kinetic", "r0": 0.5, "ink_spots": 1}, "r0"),
     ("covering", {"geometry": "parabolic", "r0": 0.25, "ink_spots": 1}, "r0"),
+    # m_ink = 9 coarsens the lattice until 1, the top of r0's range, is the
+    # smallest radius it resolves: no r0 can help
+    ("covering", {"m_ink": 9, "ink_spots": 1}, "m_ink"),
 ])
 def test_config_value_out_of_range_is_config_error(tmp_path, capsys, command,
                                                    cfg, key):
     code, report, _ = _run(tmp_path, command, {"seed": 0, **cfg})
     assert code == 3 and report is None
     assert capsys.readouterr().err.startswith(f"config error: {key} must be")
+
+
+@pytest.mark.parametrize("cfg", [{"m_ink": 8}, {"m_ink": 20, "r0": 0.6}])
+def test_ink_spots_lattice_fine_enough_for_r0_runs(tmp_path, cfg):
+    # the smallest resolved radius depends on r0 as well as m_ink
+    code, report, _ = _run(tmp_path, "covering",
+                           {"seed": 0, "families": 0, "ink_spots": 1, **cfg})
+    assert code == 0 and report["passed"]
 
 
 def test_ink_spots_lattice_without_a_resolved_radius_is_config_error(tmp_path, capsys):
