@@ -21,8 +21,7 @@ def main():
             E, F = cov.synthesize_ink_spots_instance(geometry, m, 1.0, rng,
                                                      **kwargs)
             check_kwargs = {"stride": 2} if geometry == "kinetic" else {}
-            rep = cov.ink_spots_check(E, F, geometry, m, 1.0, rng=rng,
-                                      **check_kwargs)
+            rep = cov.ink_spots_check(E, F, geometry, m, 1.0, **check_kwargs)
             tag = "ok" if rep.passed else "VIOLATED"
             print(f"  m={m}: |E| {rep.measure_E:.4f}  rhs {rep.rhs:.4f}  "
                   f"hypothesis {'ok' if rep.hypothesis_ok else 'FAILED'}  "

@@ -209,7 +209,7 @@ def cmd_verify_geometry(cfg, jobs, outdir):
              (z_ac, z_bo)]
     dist, _ = geo.kinetic_distance_batch(
         *(np.concatenate([p[side][k] for p in pairs])
-          for side in (0, 1) for k in range(3)), tol=tol)
+          for side in (0, 1) for k in range(3)))
     dist, d13, d32, (d_half, d_one) = np.split(dist, [N, N + M, N + 2 * M])
 
     # distance sandwiched by the sup norm of the group difference
@@ -493,8 +493,7 @@ def cmd_covering(cfg, jobs, outdir):
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
             rep = cov.ink_spots_check(E, F, geometry, cfg["m_ink"], cfg["r0"],
-                                      stride=2 if geometry == "kinetic" else 1,
-                                      stack_check_cap=100, rng=inst_rng)
+                                      stride=2 if geometry == "kinetic" else 1)
             bad += not rep.passed
         records.append({"check": "ink_spots", "passed": bad == 0,
                         "failures": bad, "instances": cfg["ink_spots"]})

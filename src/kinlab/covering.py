@@ -11,6 +11,7 @@ over the cells the requested anchors' windows reach.  The ink-spots checks
 ask only for the bounding box of their admissible anchors; they sum 0/1
 masks, whose partial sums are exact integers, so the box changes no bit.
 The maximal function asks for every anchor, the full-lattice computation.
+Ink-spots synthesis adds, and the check tests, one union of stacks per radius.
 """
 
 import math
@@ -416,6 +417,11 @@ def stacked_union_ratio(family, m, cells_per_unit=128):
 # Ink spots
 # ---------------------------------------------------------------------------
 
+_MU = 0.5      # a family cylinder is half-filled when E fills more than _MU of it
+_K_CAP = 6     # the family's dyadic radii stop at 2**-_K_CAP
+_N_SEEDS = 4   # a synthesized E is the union of _N_SEEDS small cylinders
+
+
 def crawling_constant(d, geometry, mu=0.5):
     """The measure-decay constant of the crawling ink spots lemma."""
     if geometry == "elliptic":
@@ -431,32 +437,40 @@ def leak_constant(d, geometry):
     return (1.0 + d * 2.0 ** d) * ball ** 2
 
 
-def _stack_subbox(base, m, axes):
-    """Axis index slices of the bounding box of an m-stack."""
-    r = base.radius
-    if isinstance(base, ParabolicCylinder):
-        lo = [base.t0, float(base.x0[0]) - r]
-        hi = [base.t0 + m * r * r, float(base.x0[0]) + r]
-    else:
-        z0 = base.center
-        v0 = float(z0.v[0])
-        xw = (m + 2) * r ** 3
-        lo = [z0.t, float(z0.x[0]) + min(0.0, m * r * r * v0) - xw, v0 - r]
-        hi = [z0.t + m * r * r, float(z0.x[0]) + max(0.0, m * r * r * v0) + xw, v0 + r]
-    slices = []
-    for a, l, h in zip(axes, lo, hi):
-        i0 = max(int(math.floor((l - a.lo) / a.h)) - 1, 0)
-        i1 = min(int(math.ceil((h - a.lo) / a.h)) + 1, a.n)
-        slices.append(slice(i0, i1))
-    return tuple(slices)
-
-
-def _stack_cells(axes, centers, base, m):
-    """(subbox slices, boolean stack membership on the subbox); centers are
-    the cell centres of axes."""
-    sl = _stack_subbox(base, m, axes)
-    coords = [c[s] for c, s in zip(centers, sl)]
-    return sl, cylinder_mask(StackedCylinder(base, m), np.ix_(*coords))
+def _stack_union(axes, geometry, m, r, hot):
+    """Boolean lattice of the union of the m-stacks of the radius-r
+    cylinders anchored at the cell centres hot (an (n, ndim) array of
+    lattice indices).  Membership uses cylinder_mask's float operations in
+    its order, so one anchor gives cylinder_mask(StackedCylinder(base, m))
+    on the whole lattice, bit for bit."""
+    centers = [a.centers() for a in axes]
+    if geometry == "parabolic":
+        # cell (i', j') lies in the stack of anchor (i, j) iff T[i, i'] and
+        # X[j, j'], over the time rows and x columns that hold an anchor
+        t, x = centers
+        rows, ri = np.unique(hot[:, 0], return_inverse=True)
+        cols, cj = np.unique(hot[:, 1], return_inverse=True)
+        dt = t[None, :] - t[rows, None]
+        T = (dt > 0.0) & (dt < m * r * r)
+        X = (x[None, :] - x[cols, None]) ** 2 < r * r
+        H = np.zeros((rows.size, cols.size), dtype=np.float32)
+        H[ri, cj] = 1.0
+        # each partial sum counts anchors, at most 384 * 384 < 2**24 (the cap of
+        # RasterMask.for_box), so float32 is exact in any BLAS order or threads
+        return T.T.astype(np.float32) @ H @ X.astype(np.float32) > 0
+    union = np.zeros(tuple(a.n for a in axes), dtype=bool)
+    xw = (m + 2) * r ** 3
+    for idx in hot:
+        t0, x0, v0 = (c[i] for c, i in zip(centers, idx))
+        # the stack's bounding box, widened by one cell on every side
+        lo = [t0, x0 + min(0.0, m * r * r * v0) - xw, v0 - r]
+        hi = [t0 + m * r * r, x0 + max(0.0, m * r * r * v0) + xw, v0 + r]
+        sl = tuple(slice(max(int(math.floor((l - a.lo) / a.h)) - 1, 0),
+                         min(int(math.ceil((h - a.lo) / a.h)) + 1, a.n))
+                   for a, l, h in zip(axes, lo, hi))
+        stack = StackedCylinder(_cylinder_at((t0, x0, v0), r, geometry), m)
+        union[sl] |= cylinder_mask(stack, np.ix_(*[c[s] for c, s in zip(centers, sl)]))
+    return union
 
 
 @dataclass
@@ -486,12 +500,12 @@ def _anchor_admissible(mask_obj, geometry, r):
     return ok & (np.abs(v) + r < 1.0)
 
 
-def _dyadic_radii(mask_obj, geometry, k_cap=6):
+def _dyadic_radii(mask_obj, geometry):
     """Dyadic radii kept raster-resolved (>= 2 cells per cylinder half-axis)."""
     dt = mask_obj.axes[0].h
     dx = mask_obj.axes[1].h
     radii = []
-    for k in range(k_cap + 1):
+    for k in range(_K_CAP + 1):
         r = 2.0 ** (-k)
         fine = r ** 3 if geometry == "kinetic" else r
         if r * r < 2 * dt or fine < 2 * dx:
@@ -509,28 +523,29 @@ def _lattice_mask(shape, stride):
     return out
 
 
-def _hot_anchors(vals, mask_obj, geometry, r, mu, lattice):
+def _hot_anchors(vals, mask_obj, geometry, r, lattice):
     """Lattice indices, in C order, of the admissible anchors on the stride
-    lattice whose Q_r is more than mu-filled by vals.  Window sums are taken
+    lattice whose Q_r is more than _MU-filled by vals.  Window sums are taken
     only on the bounding box of those anchors."""
     adm = _anchor_admissible(mask_obj, geometry, r) & lattice
     box = _bounding_box(adm)
     if box is None:
         return np.empty((0, adm.ndim), dtype=int)
     sums, counts = _cyl_sums(vals, mask_obj.axes, r, geometry, box)
-    hot = (sums > mu * counts) & adm[box]
+    hot = (sums > _MU * counts) & adm[box]
     return np.argwhere(hot) + [s.start for s in box]
 
 
-def ink_spots_check(E, F, geometry, m, r0, mu=0.5, k_cap=6, stack_check_cap=200,
-                    stride=1, rng=None):
+def ink_spots_check(E, F, geometry, m, r0, stride=1):
     """Verify the stacked ink-spots inequality on rasterized sets.
 
     E, F: RasterMask objects on the same (extended) box containing Q1.
     Hypothesis, over the documented family (dyadic radii, anchors at every
     admissible lattice point): every family cylinder Q inside Q1 with
-    |Q cap E| > mu |Q| must have radius < r0 and its m-stack inside F (the
-    stack containment is spot-checked on up to stack_check_cap cylinders).
+    |Q cap E| > _MU |Q| must have radius < r0 and its m-stack inside F.
+    The stack containment is checked for every such cylinder at once, as
+    the containment of the union of their stacks.  Each failing radius
+    gives one violation naming its first offending anchor in C order.
     Conclusion: |E| <= (m+1)/m (1-c) (|F cap Q1| + C m r0^2).
     """
     d = 1
@@ -543,54 +558,44 @@ def ink_spots_check(E, F, geometry, m, r0, mu=0.5, k_cap=6, stack_check_cap=200,
     measure_E = E.measure()
     measure_F_q1 = float((F.mask & q1).sum()) * vol
 
-    radii = _dyadic_radii(E, geometry, k_cap)
+    radii = _dyadic_radii(E, geometry)
     lattice = _lattice_mask(E.mask.shape, stride)
     vals = E.mask.astype(float)
     violations = []
-    flagged = []
+    flagged = 0
     for r in radii:
-        hot = _hot_anchors(vals, E, geometry, r, mu, lattice)
+        hot = _hot_anchors(vals, E, geometry, r, lattice)
         if len(hot) == 0:
             continue
         if r >= r0:
             violations.append({"radius": r, "anchor_index": hot[0].tolist(),
                                "reason": "half-filled cylinder with r >= r0"})
             continue
-        for idx in hot:
-            flagged.append((r, tuple(idx)))
-
-    rng = np.random.default_rng(0) if rng is None else rng
-    check = flagged
-    if len(flagged) > stack_check_cap:
-        sel = rng.choice(len(flagged), size=stack_check_cap, replace=False)
-        check = [flagged[i] for i in sorted(sel)]
-    centers = [a.centers() for a in E.axes]
-    for r, idx in check:
-        anchor = [c[i] for c, i in zip(centers, idx)]
-        base = _cylinder_at(anchor, r, geometry)
-        sl, stack_cells = _stack_cells(E.axes, centers, base, m)
-        missing = stack_cells & ~F.mask[sl]
+        flagged += len(hot)
+        missing = _stack_union(E.axes, geometry, m, r, hot) & ~F.mask
         if missing.any():
-            violations.append({"radius": r, "anchor_index": [int(i) for i in idx],
+            idx = next(a for a in hot if np.any(
+                _stack_union(E.axes, geometry, m, r, a[None]) & ~F.mask))
+            violations.append({"radius": r, "anchor_index": idx.tolist(),
                                "reason": "stacked cylinder not inside F",
                                "missing_cells": int(missing.sum())})
 
-    c = crawling_constant(d, geometry, mu)
+    c = crawling_constant(d, geometry, _MU)
     C = leak_constant(d, geometry)
     rhs = (m + 1.0) / m * (1.0 - c) * (measure_F_q1 + C * m * r0 ** 2)
     hypothesis_ok = not violations
     passed = hypothesis_ok and measure_E <= rhs + E.boundary_slack()
     family = {"radii": radii, "anchor_stride": stride,
               "anchors": "admissible lattice cells on the stride sublattice",
-              "mu": mu, "flagged": len(flagged), "stack_checked": len(check)}
+              "mu": _MU, "flagged": flagged, "stack_checked": flagged}
     return InkSpotsReport(measure_E, measure_F_q1, c, C, m, r0, rhs, passed,
                           hypothesis_ok, violations, family)
 
 
 def synthesize_ink_spots_instance(geometry, m, r0, rng, cells_per_unit=96,
-                                  n_seeds=4, k_cap=6, mu=0.5, stride=1):
-    """Build an admissible (E, F) pair: E a union of small cylinders deep in
-    Q1, F the union of E with the m-stacks of every half-filled family
+                                  stride=1):
+    """Build an admissible (E, F) pair: E a union of _N_SEEDS small cylinders
+    deep in Q1, F the union of E with the m-stacks of every half-filled family
     cylinder, so the theorem hypothesis holds by construction.  Raises
     ValueError when the lattice resolves no dyadic radius below r0; when
     the smallest resolved radius is 1, which no r0 in (0, 1] is above, the
@@ -604,7 +609,7 @@ def synthesize_ink_spots_instance(geometry, m, r0, rng, cells_per_unit=96,
         xw = s + (m + 2) * r0 ** 3
         bounds = [(-1.0, s), (-1.0 - xw, 1.0 + xw), (-1.0, 1.0)]
     E = RasterMask.for_box(bounds, roles, cells_per_unit)
-    radii_avail = _dyadic_radii(E, geometry, k_cap)
+    radii_avail = _dyadic_radii(E, geometry)
     if not radii_avail:
         raise ValueError(f"m = {m} and r0 = {r0} leave the ink-spots lattice "
                          "no resolved dyadic radius")
@@ -618,7 +623,7 @@ def synthesize_ink_spots_instance(geometry, m, r0, rng, cells_per_unit=96,
         raise ValueError(f"r0 must be above {radii_avail[-1]}, the smallest dyadic "
                          f"radius the ink-spots lattice resolves, got {r0}")
     small = [r for r in radii_avail if r < 0.6 * r0] or [radii_avail[-1]]
-    for _ in range(n_seeds):
+    for _ in range(_N_SEEDS):
         r = small[int(rng.integers(len(small)))] * float(rng.uniform(0.8, 1.0))
         t0 = float(rng.uniform(-0.9 + r * r, -0.05))
         if geometry == "parabolic":
@@ -632,15 +637,11 @@ def synthesize_ink_spots_instance(geometry, m, r0, rng, cells_per_unit=96,
     F = RasterMask(E.axes, E.mask.copy())
     lattice = _lattice_mask(E.mask.shape, stride)
     vals = E.mask.astype(float)
-    centers = [a.centers() for a in E.axes]
-    for r in _dyadic_radii(E, geometry, k_cap):
+    for r in _dyadic_radii(E, geometry):
         if r >= r0:
             # large half-filled cylinders would violate the hypothesis; the
             # synthesized E is sparse enough that none occur (checked below)
             continue
-        for idx in _hot_anchors(vals, E, geometry, r, mu, lattice):
-            anchor = [c[i] for c, i in zip(centers, idx)]
-            base = _cylinder_at(anchor, r, geometry)
-            sl, cells = _stack_cells(E.axes, centers, base, m)
-            F.mask[sl] |= cells
+        F.mask |= _stack_union(E.axes, geometry, m, r,
+                               _hot_anchors(vals, E, geometry, r, lattice))
     return E, F

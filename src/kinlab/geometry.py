@@ -344,7 +344,7 @@ def _level_witness(s, a, h, c, e, dt):
     return ok & (np.linalg.norm(e - dt[:, None] * y, axis=-1) <= 2.0 * s ** 3), y
 
 
-def kinetic_distance_batch(t1, x1, v1, t2, x2, v2, tol=1e-9):
+def kinetic_distance_batch(t1, x1, v1, t2, x2, v2):
     """Vectorized kinetic distance for arrays of point pairs.
 
     Arrays: t* shape (B,), x*/v* shape (B, d), also at d = 1; any other
@@ -364,8 +364,7 @@ def kinetic_distance_batch(t1, x1, v1, t2, x2, v2, tol=1e-9):
     or the point found at the lowest level that passed; best - gap is the
     highest level that failed, lowered by the test's rounding allowance, so
     a certified lower end.  gap is a few ulps of the magnitudes involved on
-    every row; tol does not change the solve (kinetic_distance compares
-    the gap with it).
+    every row.
 
     Rows are independent: every operation reads only its own row's state,
     and a row stops by its own rule, so a row's (best, gap) is bit for bit

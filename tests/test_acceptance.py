@@ -77,7 +77,7 @@ def test_criterion_04_distance_bounds_and_optimality():
         t2 = t1 + rng.uniform(0.05, 2.0, n)
         x1, x2 = rng.uniform(-2, 2, (2, n, d))
         v1, v2 = rng.uniform(-2, 2, (2, n, d))
-        dist, _ = geo.kinetic_distance_batch(t1, x1, v1, t2, x2, v2, tol=tol)
+        dist, _ = geo.kinetic_distance_batch(t1, x1, v1, t2, x2, v2)
         norms = np.array([geo.sup_norm(geo.compose(
             geo.inverse(geo.PhasePoint(t2[i], x2[i], v2[i])),
             geo.PhasePoint(t1[i], x1[i], v1[i]))) for i in range(n)])
@@ -97,12 +97,9 @@ def test_criterion_04_distance_bounds_and_optimality():
     t[2] += 0.04
     x = rng.uniform(-2, 2, (3, m, 1))
     v = rng.uniform(-2, 2, (3, m, 1))
-    d01, _ = geo.kinetic_distance_batch(t[1], x[1], v[1], t[0], x[0], v[0],
-                                        tol=tol)
-    d12, _ = geo.kinetic_distance_batch(t[2], x[2], v[2], t[1], x[1], v[1],
-                                        tol=tol)
-    d02, _ = geo.kinetic_distance_batch(t[2], x[2], v[2], t[0], x[0], v[0],
-                                        tol=tol)
+    d01, _ = geo.kinetic_distance_batch(t[1], x[1], v[1], t[0], x[0], v[0])
+    d12, _ = geo.kinetic_distance_batch(t[2], x[2], v[2], t[1], x[1], v[1])
+    d02, _ = geo.kinetic_distance_batch(t[2], x[2], v[2], t[0], x[0], v[0])
     tri_viol = float(np.max(d02 - d01 - d12))
     tri_ok = tri_viol <= 3 * tol
 
@@ -194,14 +191,13 @@ def test_criterion_09_ink_spots():
         m = int(rng.choice([1, 2, 4]))
         E, F = cov.synthesize_ink_spots_instance("parabolic", m, 1.0, rng,
                                                  cells_per_unit=96)
-        rep = cov.ink_spots_check(E, F, "parabolic", m, 1.0, rng=rng)
+        rep = cov.ink_spots_check(E, F, "parabolic", m, 1.0)
         bad += int(not (rep.hypothesis_ok and rep.passed))
     for i in range(50):
         m = int(rng.choice([1, 2, 4]))
         E, F = cov.synthesize_ink_spots_instance("kinetic", m, 1.0, rng,
                                                  cells_per_unit=48, stride=2)
-        rep = cov.ink_spots_check(E, F, "kinetic", m, 1.0, rng=rng,
-                                  stride=2, stack_check_cap=100)
+        rep = cov.ink_spots_check(E, F, "kinetic", m, 1.0, stride=2)
         bad += int(not (rep.hypothesis_ok and rep.passed))
     _report(9, "ink-spots inequality on 100 instances", bad == 0,
             f"({bad} failing instances)")

@@ -109,7 +109,7 @@ def _separate_solves_verify_geometry(cfg):
     # distance sandwiched by the sup norm of the group difference
     t1, x1, v1 = cli._random_points(rng, N, d)
     t2, x2, v2 = cli._random_points(rng, N, d)
-    dist, gap = geo.kinetic_distance_batch(t1, x1, v1, t2, x2, v2, tol=tol)
+    dist, gap = geo.kinetic_distance_batch(t1, x1, v1, t2, x2, v2)
     norms = cli._sup_norms_of_differences(t1, x1, v1, t2, x2, v2)
     lower_ok = bool(np.all(dist >= 0.5 * norms - tol))
     upper_ok = bool(np.all(dist <= norms + tol))
@@ -136,11 +136,9 @@ def _separate_solves_verify_geometry(cfg):
     M = max(N // 10, 1)
     t3, x3, v3 = cli._random_points(rng, M, d)
     d12, _ = geo.kinetic_distance_batch(t1[:M], x1[:M], v1[:M], t2[:M], x2[:M],
-                                        v2[:M], tol=tol)
-    d13, _ = geo.kinetic_distance_batch(t1[:M], x1[:M], v1[:M], t3, x3, v3,
-                                        tol=tol)
-    d32, _ = geo.kinetic_distance_batch(t3, x3, v3, t2[:M], x2[:M], v2[:M],
-                                        tol=tol)
+                                        v2[:M])
+    d13, _ = geo.kinetic_distance_batch(t1[:M], x1[:M], v1[:M], t3, x3, v3)
+    d32, _ = geo.kinetic_distance_batch(t3, x3, v3, t2[:M], x2[:M], v2[:M])
     tri = d12 - (d13 + d32)
     records.append({"check": "triangle_inequality",
                     "passed": bool(np.all(tri <= 3 * tol)),

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -175,7 +176,7 @@ def test_ink_spots_parabolic_instance():
     rng = np.random.default_rng(3)
     E, F = cov.synthesize_ink_spots_instance("parabolic", 1, 1.0, rng,
                                              cells_per_unit=64)
-    rep = cov.ink_spots_check(E, F, "parabolic", 1, 1.0, rng=rng)
+    rep = cov.ink_spots_check(E, F, "parabolic", 1, 1.0)
     assert rep.hypothesis_ok
     assert rep.passed, (rep.measure_E, rep.rhs)
 
@@ -307,7 +308,7 @@ def test_ink_spots_reports_stack_outside_f(geometry, cells, stride):
     rng = np.random.default_rng(1)
     E, _ = cov.synthesize_ink_spots_instance(geometry, 1, 1.0, rng,
                                              cells_per_unit=cells, stride=stride)
-    rep = cov.ink_spots_check(E, E, geometry, 1, 1.0, rng=rng, stride=stride)
+    rep = cov.ink_spots_check(E, E, geometry, 1, 1.0, stride=stride)
     assert not rep.hypothesis_ok and not rep.passed
     assert rep.violations
     assert all(v["reason"] == "stacked cylinder not inside F" for v in rep.violations)
@@ -319,9 +320,77 @@ def test_ink_spots_reports_large_half_filled_cylinder(geometry, cells, stride):
     rng = np.random.default_rng(1)
     E, F = cov.synthesize_ink_spots_instance(geometry, 1, 1.0, rng,
                                              cells_per_unit=cells, stride=stride)
-    rep = cov.ink_spots_check(E, F, geometry, 1, 0.5, rng=rng, stride=stride)
+    rep = cov.ink_spots_check(E, F, geometry, 1, 0.5, stride=stride)
     assert not rep.hypothesis_ok and not rep.passed
     large = [v for v in rep.violations
              if v["reason"] == "half-filled cylinder with r >= r0"]
     assert large and all(v["radius"] >= 0.5 for v in large)
     _assert_hot_admissible(E, geometry, stride, rep.violations)
+
+
+_UNION_AXES = {
+    "parabolic": [Axis("t", -1, 1, 40), Axis("x", -2, 2, 56)],
+    "kinetic": [Axis("t", -1, 1, 48), Axis("x", -2, 2, 128), Axis("v", -1, 1, 20)],
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("geometry", ["parabolic", "kinetic"])
+def test_stack_union_is_the_union_of_cylinder_masks(geometry, m):
+    axes = _UNION_AXES[geometry]
+    shape = tuple(a.n for a in axes)
+    grids = cov.RasterMask(axes).grids()
+    centers = [a.centers() for a in axes]
+    # every corner of the lattice, so the edge rows of each axis, and a few
+    # interior anchors
+    corners = np.array(list(itertools.product(*[(0, n - 1) for n in shape])))
+    inner = np.random.default_rng(m).integers(0, shape, (12, len(shape)))
+    hot = np.vstack([corners, inner])
+    for r in (0.5, 0.25):
+        singles = []
+        for idx in hot:
+            base = geo._cylinder_at([c[i] for c, i in zip(centers, idx)], r, geometry)
+            want = geo.cylinder_mask(geo.StackedCylinder(base, m), grids)
+            single = cov._stack_union(axes, geometry, m, r, idx[None])
+            np.testing.assert_array_equal(single, want)
+            singles.append(single)
+        assert sum(s.any() for s in singles) >= len(hot) // 2
+        np.testing.assert_array_equal(cov._stack_union(axes, geometry, m, r, hot),
+                                      np.logical_or.reduce(singles))
+
+
+def test_ink_spots_check_reads_every_flagged_stack():
+    rng = np.random.default_rng(3)
+    E, F = cov.synthesize_ink_spots_instance("parabolic", 1, 1.0, rng,
+                                             cells_per_unit=64)
+    # the flagged anchors in check order, and per cell how many of their
+    # stacks cover it and (where one does) which
+    grids, centers = E.grids(), [a.centers() for a in E.axes]
+    lattice = cov._lattice_mask(E.mask.shape, 1)
+    flagged = []
+    cover = np.zeros(E.mask.shape, int)
+    owner = np.zeros(E.mask.shape, int)
+    for r in cov._dyadic_radii(E, "parabolic"):
+        if r >= 1.0:
+            continue
+        for idx in cov._hot_anchors(E.mask.astype(float), E, "parabolic", r, lattice):
+            base = geo._cylinder_at([c[i] for c, i in zip(centers, idx)], r, "parabolic")
+            cells = geo.cylinder_mask(geo.StackedCylinder(base, 1), grids)
+            cover += cells
+            owner += len(flagged) * cells
+            flagged.append((r, idx.tolist()))
+    assert len(flagged) > 200
+    # an anchor that a check of 200 stacks drawn by default_rng(0) skips,
+    # with an F cell outside E that only its stack covers
+    sample = set(np.random.default_rng(0).choice(len(flagged), 200, replace=False).tolist())
+    alone = owner[(cover == 1) & ~E.mask]
+    k = next(int(a) for a in alone if int(a) not in sample)
+    r, idx = flagged[k]
+    cell = np.argwhere((owner == k) & (cover == 1) & ~E.mask)[0]
+    F.mask[tuple(cell)] = False
+    rep = cov.ink_spots_check(E, F, "parabolic", 1, 1.0)
+    assert not rep.hypothesis_ok and not rep.passed
+    assert rep.violations == [{"radius": r, "anchor_index": idx,
+                               "reason": "stacked cylinder not inside F",
+                               "missing_cells": 1}]
+    assert rep.family["stack_checked"] == rep.family["flagged"] == len(flagged)
