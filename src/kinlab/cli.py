@@ -354,9 +354,14 @@ def _holder_instance(i, cfg):
 
 
 def cmd_holder_scan(cfg, jobs, outdir):
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = sorted(pool.map(lambda i: _holder_instance(i, cfg),
-                                  range(cfg["instances"])))
+    instances = range(cfg["instances"])
+    if jobs == 1:
+        # in this thread: a worker thread may get a fresh malloc arena,
+        # which then holds a second copy of the solver's working set
+        results = [_holder_instance(i, cfg) for i in instances]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(lambda i: _holder_instance(i, cfg), instances))
     records, rows, warnings = [], [], []
     for i, prof, mono in results:
         finite = np.isfinite(prof.alpha)

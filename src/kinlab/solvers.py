@@ -13,9 +13,13 @@ elliptic, parabolic and kinetic v operators share this one rule.
 Elliptic and parabolic problems are Dirichlet on the whole boundary of the
 box; kinetic problems are periodic in x and Dirichlet 0 in v.  Dirichlet
 data is imposed at ghost cell centers half a cell outside the box, which
-keeps the stencil symmetric and exact on quadratic polynomials.  Their
-Jacobi-preconditioned conjugate gradients work in preallocated buffers, so
-an iteration allocates no array, and call no BLAS routine: every inner
+keeps the stencil symmetric and exact on quadratic polynomials.  Both are
+solved by conjugate gradients preconditioned by one symmetric multigrid
+V-cycle, built once per solve: coarse levels are the same operator on
+lattices of ceil(n/2) cells per axis, with injection and its scaled
+transpose as transfers, damped Jacobi smoothing and an exact solve on the
+coarsest level.  Solver and V-cycle work in preallocated buffers, so an
+iteration allocates no array, and call no BLAS routine: every inner
 product and norm is a pairwise `.sum()`.  The operator takes each
 neighbour difference as one contiguous pass at a fixed flat shift.
 
@@ -29,12 +33,13 @@ sweeps a v-major (Nv, Nx) buffer row by row, all x columns at once.
 """
 
 import inspect
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridfn import GridFunction
+from .gridfn import Axis, GridFunction
 from .kernel import Bump
 
 __all__ = [
@@ -289,7 +294,10 @@ class _DiffusionOperator:
         shape = pts.shape[:-1]
         self.face_coef = []      # ax.n + 1 faces along axis k
         self.bdry_val = []       # Dirichlet data at the (low, high) ghosts
-        self._flux = []          # per axis: flat stride, slabs, face factors
+        self._flux = []          # per axis: stride, slabs, h^2, faces, buffer views
+        G = np.empty(shape)      # flux through each low face
+        T = np.empty(shape)      # low minus high flux of each cell
+        gf, tf = G.reshape(-1), T.reshape(-1)
         for k, ax in enumerate(axes):
             face = _faces(A, pts, ax, k, min(k, A.d_mat - 1))
             self.face_coef.append(face)
@@ -298,11 +306,12 @@ class _DiffusionOperator:
                                   _eval(boundary, ghi).take(0, axis=k)))
             head = (slice(None),) * k
             first, last = head + (slice(None, 1),), head + (slice(-1, None),)
-            self._flux.append((math.prod(shape[k + 1:]), first, last,
+            s = math.prod(shape[k + 1:])
+            self._flux.append((s, first, last, ax.h * ax.h,
                                np.ascontiguousarray(face[head + (slice(None, -1),)]),
-                               face[last].copy(), np.empty(face[last].shape)))
-        self._flux_buf = np.empty(shape)     # flux through each low face
-        self._term = np.empty(shape)
+                               face[last].copy(), np.empty(face[last].shape),
+                               (G, G[first], G[last], gf[s:], gf[:-s]),
+                               (T, T[last], tf[:-s])))
 
     def apply(self, u, out=None):
         """-div flux with zero Dirichlet data (the homogeneous part), into
@@ -315,24 +324,24 @@ class _DiffusionOperator:
         """
         out = np.empty_like(u) if out is None else out
         uf = np.ascontiguousarray(u).reshape(-1)
-        G, T = self._flux_buf, self._term
-        gf, tf = G.reshape(-1), T.reshape(-1)
-        # out starts at +0.0, so it never holds -0.0
-        out.fill(0.0)
-        for ax, (s, first, last, face_lo, face_hi, hi) in zip(self.axes, self._flux):
+        acc = 0.0                # the first term is added to +0.0, so out
+                                 # never holds -0.0
+        for s, first, last, h2, face_lo, face_hi, hi, flux, term in self._flux:
+            G, G_first, G_last, g_hi, g_lo = flux
+            T, T_last, t_lo = term
             # flux through each cell's low face, the ghost values being 0:
             # the subtractions of np.diff with zero padding (0.0 - u, not -u)
-            np.subtract(uf[s:], uf[:-s], out=gf[s:])
-            np.subtract(u[first], 0.0, out=G[first])
+            np.subtract(uf[s:], uf[:-s], out=g_hi)
+            np.subtract(u[first], 0.0, out=G_first)
             np.multiply(G, face_lo, out=G)
             # and through the high face of the last slab
             np.subtract(0.0, u[last], out=hi)
             np.multiply(hi, face_hi, out=hi)
             # low minus high flux of each cell
-            np.subtract(gf[:-s], gf[s:], out=tf[:-s])
-            np.subtract(G[last], hi, out=T[last])
-            np.divide(T, ax.h * ax.h, out=T)
-            np.add(out, T, out=out)
+            np.subtract(g_lo, g_hi, out=t_lo)
+            np.subtract(G_last, hi, out=T_last)
+            np.divide(T, h2, out=T)
+            acc = np.add(acc, T, out=out)
         return out
 
     def boundary_rhs(self):
@@ -360,30 +369,151 @@ class _DiffusionOperator:
         return min(vals), max(vals)
 
 
-def _pcg(apply_op, rhs, diag, tol=1e-10, max_iter=20000, shift=0.0):
-    """Jacobi-preconditioned conjugate gradients for (shift I + L) u = rhs.
+# The V-cycle: Jacobi sweeps before and after each coarse correction, their
+# damping, and the most unknowns a level may have to be solved exactly.
+_SWEEPS = 2
+_OMEGA = 0.8
+_COARSEST = 64
 
-    apply_op(p, out=...) writes L p into out.  An iteration allocates
-    nothing: Ap, z and one scratch vector live for the whole solve.  Every
-    inner product, the residual norms included, is a pairwise `.sum()` of
-    a full-shape product, as the rounding of the iterates depends on that
-    order; no BLAS routine runs, so the solve keeps to one thread.  Raises
-    SolverError at the first non-finite residual and when max_iter
-    iterations do not reach tol.
+
+class _VCycle:
+    """One symmetric multigrid V-cycle for shift I + L, the preconditioner
+    of _pcg; call it as precond(r, out).
+
+    Level 0 is the operator `op` itself.  Each coarser level is a
+    _DiffusionOperator of the same field A, zero boundary data and ceil(n/2)
+    cells per axis, until at most _COARSEST unknowns remain; that level is
+    solved by its inverse, computed once.  Fine cell i lies in coarse cell
+    i // 2: prolongation P is injection and restriction is P^T / 2^d, so
+    the cycle is symmetric for odd n too.  Smoothing is _SWEEPS sweeps of
+    _OMEGA-damped Jacobi on each side of the coarse correction.  A cycle
+    allocates nothing and, like _pcg, calls no BLAS routine.
+    """
+
+    def __init__(self, op, A, shift=0.0):
+        self.shift = shift
+        ops = [op]
+        while math.prod(a.n for a in ops[-1].axes) > _COARSEST:
+            axes = [Axis(a.role, a.lo, a.hi, (a.n + 1) // 2) for a in ops[-1].axes]
+            ops.append(_DiffusionOperator(axes, A))
+        self.levels = ops
+        self._smoothing = []     # per level but the coarsest
+        for lv, coarse_lv in zip(ops, ops[1:]):
+            shape = tuple(a.n for a in lv.axes)
+            w = _OMEGA / (lv.diagonal() + shift)
+            # x + w (b - (shift + L) x) = keep x + w (b - L x)
+            keep = 1.0 - w * shift if shift != 0.0 else None
+            # residual and scratch, then the coarse level's rhs and iterate
+            t, tmp = np.empty(shape), np.empty(shape)
+            coarse_shape = tuple(a.n for a in coarse_lv.axes)
+            b_c, x_c = np.empty(coarse_shape), np.empty(coarse_shape)
+            # per child offset: the fine cells with that offset, and the
+            # coarse cells they lie in
+            children = []
+            for offs in itertools.product((0, 1), repeat=len(shape)):
+                fine = tuple(slice(o, None, 2) for o in offs)
+                coarse = tuple(slice(0, (n - o + 1) // 2) for n, o in zip(shape, offs))
+                children.append((fine, t[fine], b_c[coarse], x_c[coarse]))
+            self._smoothing.append((lv.apply, w, keep, t, tmp, b_c, x_c, children))
+        self._inverse = _spd_inverse(self._matrix(ops[-1]))
+        self._prod = np.empty_like(self._inverse)
+
+    def _matrix(self, op):
+        """shift I + L as a dense matrix, one column per unit vector."""
+        shape = tuple(a.n for a in op.axes)
+        unit = np.eye(math.prod(shape))
+        cols = [op.apply(e.reshape(shape)).reshape(-1) for e in unit]
+        return np.stack(cols, axis=1) + self.shift * unit
+
+    def __call__(self, r, out):
+        self._cycle(0, r, out)
+        return out
+
+    def _cycle(self, k, b, x):
+        """x = B_k b on level k."""
+        if k == len(self._smoothing):
+            np.multiply(self._inverse, b.reshape(1, -1), out=self._prod)
+            np.sum(self._prod, axis=1, out=x.reshape(-1))
+            return
+        apply, w, keep, t, tmp, b_c, x_c, children = self._smoothing[k]
+        np.multiply(w, b, out=x)                  # the first sweep, from 0
+        self._sweeps(k, b, x, _SWEEPS - 1)
+        # restrict the residual b - (shift + L) x, correct on the coarser level
+        apply(x, out=t)
+        np.subtract(b, t, out=t)
+        if keep is not None:
+            np.subtract(t, np.multiply(self.shift, x, out=tmp), out=t)
+        b_c.fill(0.0)
+        for _, t_child, b_parent, _ in children:
+            np.add(b_parent, t_child, out=b_parent)
+        np.multiply(b_c, 0.5 ** b.ndim, out=b_c)
+        self._cycle(k + 1, b_c, x_c)
+        for fine, _, _, x_parent in children:
+            x_child = x[fine]
+            np.add(x_child, x_parent, out=x_child)
+        self._sweeps(k, b, x, _SWEEPS)
+
+    def _sweeps(self, k, b, x, count):
+        """count Jacobi sweeps x <- x + w (b - (shift + L) x)."""
+        apply, w, keep, t = self._smoothing[k][:4]
+        for _ in range(count):
+            apply(x, out=t)
+            np.subtract(b, t, out=t)
+            np.multiply(w, t, out=t)
+            if keep is not None:
+                np.multiply(keep, x, out=x)
+            np.add(x, t, out=x)
+
+
+def _spd_inverse(a):
+    """Inverse of a small symmetric positive definite matrix by Gauss-Jordan
+    elimination without pivoting, symmetrized; elementwise, no LAPACK."""
+    m = len(a)
+    aug = np.concatenate([a, np.eye(m)], axis=1)
+    for k in range(m):
+        aug[k] /= aug[k, k]
+        col = aug[:, k].copy()
+        col[k] = 0.0
+        aug -= col[:, None] * aug[k]
+    inv = aug[:, m:]
+    return 0.5 * (inv + inv.T)
+
+
+def _pcg(apply_op, rhs, precond, tol=1e-10, max_iter=20000, shift=0.0, x0=None):
+    """Preconditioned conjugate gradients for (shift I + L) u = rhs.
+
+    apply_op(p, out=...) writes L p into out, and precond(r, out) writes
+    the preconditioned residual, an SPD map of r, into out (a _VCycle for
+    the same shift).  The iterate starts at x0, or at 0 when x0 is None;
+    either way the residual is measured relative to |rhs|, and a start that
+    already meets tol is returned after no iteration.  An iteration
+    allocates nothing: Ap, z and one scratch vector live for the whole
+    solve.  Every inner product, the residual norms included, is a pairwise
+    `.sum()` of a full-shape product, as the rounding of the iterates
+    depends on that order; no BLAS routine runs, so the solve keeps to one
+    thread.  Raises SolverError at the first non-finite residual and when
+    max_iter iterations do not reach tol.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    M = 1.0 / (diag + shift)
-    z = M * r
-    p = z.copy()
     Ap, tmp = np.empty_like(rhs), np.empty_like(rhs)
-    rz = float(np.multiply(r, z, out=tmp).sum())
+    r = rhs.copy()
+    if x0 is None:
+        x = np.zeros_like(rhs)
+    else:
+        x = x0.copy()
+        apply_op(x, out=Ap)
+        r -= np.add(np.multiply(shift, x, out=tmp), Ap, out=Ap)
     nrhs = math.sqrt(float(np.multiply(rhs, rhs, out=tmp).sum()))
     history = []
     if nrhs == 0.0:
+        return np.zeros_like(rhs), history
+    if x0 is not None and math.sqrt(float(np.multiply(r, r, out=tmp).sum())) / nrhs <= tol:
         return x, history
+    z = np.empty_like(rhs)
+    precond(r, z)
+    p = z.copy()
+    rz = float(np.multiply(r, z, out=tmp).sum())
     for it in range(max_iter):
         apply_op(p, out=Ap)
         # apply_op never returns -0.0, so adding 0.0 * p would change no bit
@@ -399,7 +529,7 @@ def _pcg(apply_op, rhs, diag, tol=1e-10, max_iter=20000, shift=0.0):
         if not math.isfinite(res):
             raise SolverError(f"conjugate gradients hit a non-finite residual "
                               f"({res}) at iteration {it + 1}", history)
-        np.multiply(M, r, out=z)
+        precond(r, z)
         rz_new = float(np.multiply(r, z, out=tmp).sum())
         p *= rz_new / rz
         p += z
@@ -433,7 +563,7 @@ def solve_elliptic(P, tol=1e-10):
     op = _DiffusionOperator(P.axes, P.coefficients, P.boundary)
     pts = _cell_points(P.axes)
     rhs = P.source_at(0.0, pts) + op.boundary_rhs()
-    u, history = _pcg(op.apply, rhs, op.diagonal(), tol=tol)
+    u, history = _pcg(op.apply, rhs, _VCycle(op, P.coefficients), tol=tol)
     info = {"iterations": len(history), "residual_history": history,
             "tol": tol}
     if P.source_free:
@@ -465,7 +595,7 @@ def solve_parabolic(P, tol=1e-10, store_every=1):
     pts = _cell_points(P.axes)
     dt = P.t_final / P.nt
     u = _eval(P.initial, pts)
-    diag = op.diagonal()
+    precond = _VCycle(op, P.coefficients, shift=1.0 / dt)
     brhs = op.boundary_rhs()
     source = _source_in_time(P, pts)
     iters = []
@@ -475,7 +605,8 @@ def solve_parabolic(P, tol=1e-10, store_every=1):
     for n in range(P.nt):
         t_new = (n + 1) * dt
         rhs = u / dt + source(t_new) + brhs
-        u, h = _pcg(op.apply, rhs, diag, tol=tol, shift=1.0 / dt)
+        # from the last step's solution: one iteration fewer than from 0
+        u, h = _pcg(op.apply, rhs, precond, tol=tol, shift=1.0 / dt, x0=u)
         iters.append(len(h))
         energy.append(float((u * u).sum()))
         if (n + 1) % store_every == 0 or n == P.nt - 1:

@@ -92,9 +92,15 @@ def test_pcg_reports_history_and_stalls():
     hist = sol.info["residual_history"]
     assert hist[-1] <= 1e-10 * max(1.0, hist[0])
     op = sv._DiffusionOperator(axes, P.coefficients)
+    precond = sv._VCycle(op, P.coefficients)
     with pytest.raises(sv.SolverError, match="stalled") as err:
-        sv._pcg(op.apply, np.ones((24, 24)), op.diagonal(), max_iter=3)
+        sv._pcg(op.apply, np.ones((24, 24)), precond, max_iter=3)
     assert err.value.residual_history == hist[:3]
+    # a start near the solution saves iterations; a zero rhs gives 0 from anywhere
+    _, warm = sv._pcg(op.apply, np.ones((24, 24)), precond, x0=sol.u.values + 1e-6)
+    assert warm[-1] <= 1e-10 and len(warm) < len(hist)
+    u, none = sv._pcg(op.apply, np.zeros((24, 24)), precond, x0=sol.u.values)
+    assert not u.any() and none == []
 
 
 @pytest.mark.parametrize("data", [{"source": np.nan}, {"source": np.inf},
@@ -115,7 +121,7 @@ def test_pcg_rejects_max_iter_below_one():
     op = sv._DiffusionOperator([Axis("x", -1, 1, 8)], _identity())
     for bad in (0, -1):
         with pytest.raises(ValueError, match="max_iter"):
-            sv._pcg(op.apply, np.ones(8), op.diagonal(), max_iter=bad)
+            sv._pcg(op.apply, np.ones(8), sv._VCycle(op, _identity()), max_iter=bad)
 
 
 def test_parabolic_mode_decay():
@@ -445,9 +451,10 @@ class _LoopOperator:
         return min(vals), max(vals)
 
 
-# _pcg as it was before it worked in preallocated buffers, kept verbatim
-# as an oracle apart from the norm, which is a parameter: the solver must
-# reproduce its iterates bit for bit, and its residuals with the norm
+# _pcg as it was before it worked in preallocated buffers and took a
+# multigrid preconditioner, kept verbatim as an oracle apart from the norm,
+# which is a parameter: given the same Jacobi preconditioner, the solver
+# must reproduce its iterates bit for bit, and its residuals with the norm
 # taken as the solver takes it.
 
 def _allocating_pcg(apply_op, rhs, diag, tol=1e-10, max_iter=20000, shift=0.0,
@@ -482,6 +489,12 @@ def _allocating_pcg(apply_op, rhs, diag, tol=1e-10, max_iter=20000, shift=0.0,
 def _pairwise_norm(v):
     """The residual norm as _pcg takes it: a pairwise sum, no BLAS."""
     return math.sqrt(float((v * v).sum()))
+
+
+def _jacobi(diag, shift):
+    """The oracle's preconditioner z = r / (diag + shift) for _pcg."""
+    M = 1.0 / (diag + shift)
+    return lambda r, out: np.multiply(M, r, out=out)
 
 
 def _loop_v_step_matrices(P, pts):
@@ -573,13 +586,74 @@ def test_pcg_reproduces_the_allocating_loop_bit_for_bit(axes, shift):
         ref = _LoopOperator(axes, A)
         diag = op.diagonal()
         for rhs in (rng.standard_normal(shape), _zero_heavy(rng, shape)):
-            x, history = sv._pcg(op.apply, rhs, diag, shift=shift)
+            x, history = sv._pcg(op.apply, rhs, _jacobi(diag, shift), shift=shift)
             x_ref, history_ref = _allocating_pcg(ref.apply, rhs, diag, shift=shift)
             assert len(history) > 1 and len(history) == len(history_ref)
             assert _same_bits(x, x_ref)
             _, history_pairwise = _allocating_pcg(ref.apply, rhs, diag, shift=shift,
                                                   norm=_pairwise_norm)
             assert history == history_pairwise
+
+
+def _all_fields(point_dim, d):
+    yield _identity()
+    yield from _rough_fields(point_dim, d)
+
+
+@pytest.mark.parametrize("axes", [
+    [Axis("x", -1, 1, 161)],
+    [Axis("x", -1, 1, 200)],
+    [Axis("x", -1, 1, 33), Axis("x", -0.5, 1.5, 45)],
+    [Axis("x", -1, 1, 48), Axis("x", -0.5, 1.5, 40)],
+    [Axis("x", -1, 1, 9), Axis("x", -1, 0.5, 13), Axis("x", 0, 1, 7)],
+    [Axis("x", -1, 1, 12), Axis("x", -1, 0.5, 10), Axis("x", 0, 1, 8)],
+], ids=["1d-odd", "1d-even", "2d-odd", "2d-even", "3d-odd", "3d-even"])
+@pytest.mark.parametrize("shift", [0.0, 80.0, 1e4], ids=["0", "80", "1e4"])
+def test_multigrid_pcg_matches_the_jacobi_loop(axes, shift):
+    rng = np.random.default_rng(20 + len(axes))
+    shape = tuple(a.n for a in axes)
+    for A in _all_fields(len(axes), len(axes)):
+        op, ref = sv._DiffusionOperator(axes, A), _LoopOperator(axes, A)
+        precond = sv._VCycle(op, A, shift=shift)
+        assert len(precond.levels) > 1
+        for rhs in (rng.standard_normal(shape), _zero_heavy(rng, shape)):
+            u, history = sv._pcg(op.apply, rhs, precond, shift=shift)
+            u_ref, history_ref = _allocating_pcg(ref.apply, rhs, op.diagonal(),
+                                                 shift=shift)
+            assert np.abs(u - u_ref).max() <= 1e-8 * np.abs(u_ref).max()
+            assert history[-1] <= 1e-10 and history_ref[-1] <= 1e-10
+
+
+@pytest.mark.parametrize("axes, shift", [
+    ([Axis("x", -1, 1, 45), Axis("x", -0.5, 1.5, 37)], 0.0),
+    ([Axis("x", -1, 1, 45), Axis("x", -0.5, 1.5, 37)], 80.0),
+    ([Axis("x", -1, 1, 13), Axis("x", -1, 0.5, 11), Axis("x", 0, 1, 9)], 0.0),
+], ids=["2d-odd", "2d-odd-shifted", "3d-odd"])
+def test_vcycle_is_symmetric_positive_definite(axes, shift):
+    rng = np.random.default_rng(7)
+    shape = tuple(a.n for a in axes)
+    for A in _all_fields(len(axes), len(axes)):
+        precond = sv._VCycle(sv._DiffusionOperator(axes, A), A, shift=shift)
+        for _ in range(3):
+            r, s = rng.standard_normal(shape), rng.standard_normal(shape)
+            Br = precond(r, np.empty(shape)).copy()
+            Bs = precond(s, np.empty(shape))
+            gap = abs(float((Br * s).sum()) - float((r * Bs).sum()))
+            assert gap <= 1e-12 * math.sqrt(float((Br * Br).sum()) * float((s * s).sum()))
+            assert float((Br * r).sum()) > 0
+
+
+@pytest.mark.parametrize("n, lam, limit", [(224, 0.5, 30), (352, 0.2, 40)],
+                         ids=["holder-scan-224", "criterion-11-352"])
+def test_multigrid_pcg_iterations_stay_few(n, lam, limit):
+    # a broken hierarchy still converges, only slower: this is what sees it
+    axes = [Axis("x", -1.1, 1.1, n), Axis("x", -1.1, 1.1, n)]
+    coef = sv.make_coefficients({"kind": "checkerboard", "lam": lam, "Lam": 1.0,
+                                 "tiles": 8})
+    P = sv.Problem(kind="elliptic", axes=axes, coefficients=coef,
+                   boundary=lambda p: p[..., 0] - 0.6 * p[..., 1]
+                   + 0.1 * (p[..., 0] ** 2 - p[..., 1] ** 2), source=0.0)
+    assert sv.solve_elliptic(P).info["iterations"] <= limit
 
 
 def test_elliptic_and_parabolic_solves_call_no_blas(monkeypatch):
@@ -635,9 +709,10 @@ def test_a_source_without_t_is_evaluated_once_per_solve():
         op = sv._DiffusionOperator(P.axes, P.coefficients, P.boundary)
         pts = sv._cell_points(P.axes)
         u, dt = sv._eval(P.initial, pts), P.t_final / P.nt
+        precond = sv._VCycle(op, P.coefficients, shift=1.0 / dt)
         for n in range(P.nt):       # the time loop evaluating S every step
             rhs = u / dt + P.source_at((n + 1) * dt, pts) + op.boundary_rhs()
-            u, _ = sv._pcg(op.apply, rhs, op.diagonal(), shift=1.0 / dt)
+            u, _ = sv._pcg(op.apply, rhs, precond, shift=1.0 / dt, x0=u)
         assert _same_bits(sol.u.values, u)
 
         calls.clear()
