@@ -336,6 +336,8 @@ def cmd_verify_kernel(cfg, jobs, outdir):
 # ---------------------------------------------------------------------------
 
 def _holder_instance(i, cfg):
+    """(i, oscillation profile) of instance i, or (i, the SolverError) when
+    its solve fails."""
     rng = np.random.default_rng(cfg["seed"] + 1000 * i)
     n, b = cfg["n"], cfg["box"]
     axes = [Axis("x", -b, b, n), Axis("x", -b, b, n)]
@@ -346,11 +348,11 @@ def _holder_instance(i, cfg):
     P = sv.Problem(kind="elliptic", axes=axes, coefficients=coef,
                    boundary=lambda p: a0 + a1 * p[..., 0] + a2 * p[..., 1],
                    source=0.0)
-    sol = sv.solve_elliptic(P)
-    prof = dg.oscillation_profile(sol.u, (0.0, 0.0), k_max=cfg["k_max"], r0=1.0)
-    mono = all(a >= b2 - 1e-12 for a, b2 in
-               zip(prof.oscillations, prof.oscillations[1:]))
-    return i, prof, mono
+    try:
+        sol = sv.solve_elliptic(P)
+    except sv.SolverError as exc:
+        return i, exc
+    return i, dg.oscillation_profile(sol.u, (0.0, 0.0), k_max=cfg["k_max"], r0=1.0)
 
 
 def cmd_holder_scan(cfg, jobs, outdir):
@@ -363,7 +365,13 @@ def cmd_holder_scan(cfg, jobs, outdir):
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(lambda i: _holder_instance(i, cfg), instances))
     records, rows, warnings = [], [], []
-    for i, prof, mono in results:
+    for i, prof in results:
+        if isinstance(prof, sv.SolverError):
+            records.append({"check": f"instance_{i}", "passed": False,
+                            "error": str(prof)})
+            continue
+        mono = all(a >= b - 1e-12 for a, b in
+                   zip(prof.oscillations, prof.oscillations[1:]))
         finite = np.isfinite(prof.alpha)
         if len(prof.radii) < dg.FIT_DROP + dg.FIT_POINTS:
             warnings.append(f"instance_{i}: {len(prof.radii)} resolved radii "

@@ -422,11 +422,10 @@ _K_CAP = 6     # the family's dyadic radii stop at 2**-_K_CAP
 _N_SEEDS = 4   # a synthesized E is the union of _N_SEEDS small cylinders
 
 
-def crawling_constant(d, geometry, mu=0.5):
-    """The measure-decay constant of the crawling ink spots lemma."""
-    if geometry == "elliptic":
-        return 5.0 ** (-d)
-    return 5.0 ** (-1 - d) * mu / 2.0   # = 5^{-1-d} 2^{-2} at mu = 1/2
+def crawling_constant(d, geometry):
+    """The measure-decay constant of the crawling ink spots lemma, the same
+    for both geometries: 5^{-1-d} _MU / 2 = 5^{-1-d} 2^{-2}."""
+    return 5.0 ** (-1 - d) * _MU / 2.0
 
 
 def leak_constant(d, geometry):
@@ -580,7 +579,7 @@ def ink_spots_check(E, F, geometry, m, r0, stride=1):
                                "reason": "stacked cylinder not inside F",
                                "missing_cells": int(missing.sum())})
 
-    c = crawling_constant(d, geometry, _MU)
+    c = crawling_constant(d, geometry)
     C = leak_constant(d, geometry)
     rhs = (m + 1.0) / m * (1.0 - c) * (measure_F_q1 + C * m * r0 ** 2)
     hypothesis_ok = not violations

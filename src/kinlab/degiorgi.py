@@ -1,13 +1,13 @@
 """Measurement side of the De Giorgi machinery: truncations, local energy
 (Caccioppoli) ratios, class certification, the iteration lemma, oscillation
 profiles with Holder-exponent fits, Harnack quotients, expansion of
-positivity, intermediate-value statistics, and Poincare-Wirtinger constants.
+positivity and intermediate-value statistics.
 
 Each procedure measures one geometry.  Elliptic, on balls of a stationary
-GridFunction: Caccioppoli ratios, oscillation profiles, Holder consistency,
-intermediate values and Poincare-Wirtinger constants.  Kinetic, on d = 1
-kinetic cylinders of a solver Solution: Harnack quotients, expansion of
-positivity, DG class membership and the backward gradient estimate.
+GridFunction: Caccioppoli ratios, oscillation profiles and intermediate
+values.  Kinetic, on d = 1 kinetic cylinders of a solver Solution: Harnack
+quotients, expansion of positivity, DG class membership and the backward
+gradient estimate.
 
 Conventions: ess sup/inf are grid max/min; discrete gradients are forward
 differences attributed to the lower cell; all measured constants carry the
@@ -28,9 +28,8 @@ from .geometry import (EuclideanBall, _cylinder_at, _unit_ball_volume,
 
 __all__ = [
     "truncate", "caccioppoli_report", "iterate_lemma", "oscillation_profile",
-    "holder_consistency", "harnack_quotient", "expansion_experiment",
-    "intermediate_value_stats", "poincare_wirtinger_estimate", "dg_membership",
-    "kdg_minus_gradient_check",
+    "harnack_quotient", "expansion_experiment", "intermediate_value_stats",
+    "dg_membership", "kdg_minus_gradient_check",
     "EnergyReport", "IterationResult", "OscillationProfile", "HarnackReport",
 ]
 
@@ -280,41 +279,6 @@ def oscillation_profile(u, center, k_max=6, r0=None):
                               dropped)
 
 
-def holder_consistency(u, profile, n_pairs=200, rng=None):
-    """Check |u(z1) - u(z2)| <= C |z1 - z2|^alpha on random grid-point pairs.
-
-    C is the profile constant inflated by its fit residual; pairs closer
-    than two cells are skipped (the bound is meaningless under resolution).
-    """
-    if not np.isfinite(profile.alpha):
-        return {"passed": True, "checked": 0, "failures": [],
-                "constant_used": math.inf}
-    rng = np.random.default_rng(0) if rng is None else rng
-    C_used = profile.constant * math.exp(3.0 * profile.fit_residual) * 1.5
-    grids = u.meshgrid()
-    shape = u.values.shape
-    hmax = max(a.h for a in u.axes)
-    failures = []
-    checked = 0
-    flat = [g.ravel() for g in grids]
-    vals = u.values.ravel()
-    n = vals.size
-    for _ in range(n_pairs):
-        i, j = rng.integers(n), rng.integers(n)
-        z1 = [f[i] for f in flat]
-        z2 = [f[j] for f in flat]
-        dist = float(np.linalg.norm(np.subtract(z1, z2)))
-        if dist < 2.0 * hmax:
-            continue
-        checked += 1
-        gap = abs(vals[i] - vals[j])
-        if gap > C_used * dist ** profile.alpha + 1e-12:
-            failures.append({"z1": z1, "z2": z2, "gap": gap,
-                             "bound": C_used * dist ** profile.alpha})
-    return {"passed": not failures, "checked": checked,
-            "failures": failures, "constant_used": C_used}
-
-
 # ---------------------------------------------------------------------------
 # Harnack quotients, expansion, intermediate values
 # ---------------------------------------------------------------------------
@@ -415,36 +379,8 @@ def intermediate_value_stats(u, C_PW=None):
 
 
 # ---------------------------------------------------------------------------
-# Poincare-Wirtinger and DG membership
+# DG membership
 # ---------------------------------------------------------------------------
-
-def poincare_wirtinger_estimate(family, q=2):
-    """Empirical lower bound for the Poincare-Wirtinger constant on B_1.
-
-    For each u in the family: int_{B_1} |u - mean|^q over int_{B_1}
-    |grad u|^q, gradient by forward differences; zero-gradient members are
-    skipped.  Returns the max ratio and the per-member table.
-    """
-    if not (1 <= q <= 2):
-        raise ValueError("q must lie in [1, 2]")
-    ratios = []
-    skipped = 0
-    for u in family:
-        m = cylinder_mask(EuclideanBall(np.zeros(len(u.axes)), 1.0),
-                          np.ix_(*u.centers()))
-        vol = u.cell_volume
-        vals = u.values
-        mean = float(vals[m].mean())
-        num = float((np.abs(vals[m] - mean) ** q).sum()) * vol
-        gq = _forward_grad_sq(vals, u.axes, range(len(u.axes))) ** (q / 2.0)
-        den = float(gq[m].sum()) * vol
-        if den <= 0:
-            skipped += 1
-            continue
-        ratios.append(num / den)
-    return {"constant": max(ratios) if ratios else 0.0, "ratios": ratios,
-            "skipped": skipped, "q": q}
-
 
 def dg_membership(sol, P, samples, p_c=None):
     """Minimal constant certifying the gain-of-integrability inequality of a

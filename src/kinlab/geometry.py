@@ -21,7 +21,7 @@ __all__ = [
     "PhasePoint", "EuclideanBall", "KineticCylinder", "ParabolicCylinder",
     "StackedCylinder", "origin", "compose", "inverse", "scale", "sup_norm",
     "kinetic_distance", "kinetic_distance_batch", "kinetic_distance_grid",
-    "cylinder_mask", "cylinder_contains", "dilate_5Q", "stack",
+    "cylinder_mask", "cylinder_contains", "dilate_5Q",
     "DistanceConvergenceError",
 ]
 
@@ -181,10 +181,6 @@ class StackedCylinder:
         if int(self.m) < 1:
             raise ValueError("m must be a positive integer")
         object.__setattr__(self, "m", int(self.m))
-
-
-def stack(Q, m):
-    return StackedCylinder(Q, m)
 
 
 def _cylinder_at(anchor, r, geometry="kinetic"):

@@ -299,6 +299,23 @@ def test_holder_scan_constant_sentinel_and_jobs(tmp_path):
     assert report["config_hash"]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("cfg", [{"Lam": 1e300}, {"box": 1e-100}],
+                         ids=["huge-Lam", "tiny-box"])
+def test_holder_scan_solver_error_is_a_failed_instance(tmp_path, cfg, jobs):
+    # in range, but conjugate gradients meet a non-finite residual
+    code, report, outdir = _run(tmp_path, "holder-scan",
+                                {"seed": 0, "n": 16, "instances": 2, **cfg},
+                                jobs=jobs)
+    assert code == 2 and not report["passed"]
+    assert [r["check"] for r in report["records"]] == ["instance_0", "instance_1"]
+    for rec in report["records"]:
+        assert set(rec) == {"check", "passed", "error"} and not rec["passed"]
+        assert "non-finite residual" in rec["error"]
+    assert (outdir / "alphas.csv").read_text() == \
+        "index,alpha,constant,fit_residual,monotone\n"
+
+
 @pytest.mark.parametrize("cfg", [{"seed": 0, "n": "abc"}, {"seed": 0, "n": True},
                                  {"seed": 0, "box": "1"}, {"seed": True},
                                  {"seed": 0, "coefficient": 3}])

@@ -154,7 +154,6 @@ def test_interval_stacking_random_families(seed, m):
 def test_covering_constants():
     assert cov.crawling_constant(1, "kinetic") == pytest.approx(5 ** -2 * 2 ** -2)
     assert cov.crawling_constant(2, "kinetic") == pytest.approx(5 ** -3 * 2 ** -2)
-    assert cov.crawling_constant(1, "elliptic") == pytest.approx(5 ** -1)
     assert cov.leak_constant(1, "parabolic") == pytest.approx(2.0)
     assert cov.leak_constant(1, "kinetic") == pytest.approx(12.0)
 

@@ -83,17 +83,6 @@ def test_oscillation_constant_sentinel():
     assert prof.alpha == math.inf
 
 
-def test_holder_consistency_on_linear():
-    axes = _axes2(176)
-    X, _ = np.meshgrid(*[a.centers() for a in axes], indexing="ij")
-    u = GridFunction(axes, X)
-    prof = dg.oscillation_profile(u, (0.0, 0.0), k_max=6, r0=1.0)
-    rep = dg.holder_consistency(u, prof, n_pairs=300,
-                                rng=np.random.default_rng(1))
-    assert rep["passed"]
-    assert rep["checked"] > 100
-
-
 def test_caccioppoli_elliptic_within_bound():
     axes = _axes2(96, 1.0)
     coef = sv.make_coefficients({"kind": "checkerboard", "lam": 0.2,
@@ -123,19 +112,6 @@ def test_caccioppoli_skips_out_of_domain_samples():
     sol = sv.solve_elliptic(P)
     rep = dg.caccioppoli_report(sol, P, [(np.zeros(2), 0.5, 5.0, 0.0)])
     assert rep.skipped == 1 and not rep.records
-
-
-def test_poincare_wirtinger_linear_oracle():
-    # u = x on B_1 in 1d: ratio = 1/(q+1) exactly in the continuum
-    axes = [Axis("x", -1.2, 1.2, 480)]
-    x = axes[0].centers()
-    fam = [GridFunction(axes, x.copy()), GridFunction(axes, np.ones_like(x))]
-    for q, expect in ((2, 1 / 3), (1, 1 / 2)):
-        rep = dg.poincare_wirtinger_estimate(fam, q=q)
-        assert rep["constant"] == pytest.approx(expect, rel=1e-2)
-        assert rep["skipped"] == 1
-    with pytest.raises(ValueError):
-        dg.poincare_wirtinger_estimate(fam, q=3)
 
 
 def _kinetic_solution(scale=1.0, nx=64, nv=48, nt=64):

@@ -376,7 +376,7 @@ def test_membership_invariant_under_dilation():
 
 def test_stack_geometry():
     z0 = point(0.0, 0.0, 0.5)
-    S = geo.stack(geo.KineticCylinder(z0, 0.4), 2)
+    S = geo.StackedCylinder(geo.KineticCylinder(z0, 0.4), 2)
     # strictly above the base in time, widened in x
     assert not geo.cylinder_contains(S, z0)
     assert geo.cylinder_contains(S, point(0.1, 0.05, 0.5))
@@ -403,7 +403,7 @@ def _dyadic_regions(d):
     Qk = geo.KineticCylinder(z0, 0.5)
     Qp = geo.ParabolicCylinder(0.0, np.full(d, 0.25), 0.5)
     return [geo.EuclideanBall(np.full(d, 0.25), 0.5), Qp, Qk,
-            geo.stack(Qp, 2), geo.stack(Qk, 2)]
+            geo.StackedCylinder(Qp, 2), geo.StackedCylinder(Qk, 2)]
 
 
 def _dyadic_axes(n_axes, n):
@@ -443,7 +443,7 @@ def test_cylinder_boundary_semantics():
     z0 = point(0.0, 0.0, 0.0)
     r, m = 0.5, 2
     Q = geo.KineticCylinder(z0, r)
-    S = geo.stack(Q, m)
+    S = geo.StackedCylinder(Q, m)
     # half-open in time: the top face t0 belongs, the bottom t0 - r^2 does not
     assert geo.cylinder_contains(Q, point(0.0, 0.0, 0.0))
     assert not geo.cylinder_contains(Q, point(-r * r, 0.0, 0.0))
@@ -460,8 +460,8 @@ def test_cylinder_boundary_semantics():
     assert geo.cylinder_contains(P, (0.0, [0.0]))
     assert not geo.cylinder_contains(P, (-r * r, [0.0]))
     assert not geo.cylinder_contains(P, (-0.125, [r]))
-    assert not geo.cylinder_contains(geo.stack(P, m), (0.0, [0.0]))
-    assert not geo.cylinder_contains(geo.stack(P, m), (m * r * r, [0.0]))
+    assert not geo.cylinder_contains(geo.StackedCylinder(P, m), (0.0, [0.0]))
+    assert not geo.cylinder_contains(geo.StackedCylinder(P, m), (m * r * r, [0.0]))
     assert not geo.cylinder_contains(geo.EuclideanBall([0.0], r), [r])
     with pytest.raises(TypeError):
         geo.cylinder_mask(object(), (0.0,))
