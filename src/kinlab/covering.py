@@ -7,9 +7,11 @@ on uniform lattices with a reported boundary-cell slack.  The continuum
 (dyadic radii, lattice-centered anchors); reports record the family used.
 
 Cylinder window sums come from prefix sums (summed-area tables) built only
-over the cells the requested anchors' windows reach.  The ink-spots checks
-ask only for the bounding box of their admissible anchors; they sum 0/1
-masks, whose partial sums are exact integers, so the box changes no bit.
+over the cells the requested anchors' windows reach, and are taken only at
+the stride anchors (every stride-th cell) of the requested box.  The
+ink-spots checks ask for the stride anchors of the bounding box of their
+admissible anchors.  They sum 0/1 masks as integers, with no float copy, so
+the box changes no bit.
 The maximal function asks for every anchor, the full-lattice computation.
 Ink-spots synthesis adds, and the check tests, one union of stacks per radius.
 """
@@ -205,8 +207,9 @@ def _bounding_box(mask, pad=0):
     return tuple(box)
 
 
-def _cyl_sums_kinetic(vals, axes, r, box):
-    """Kinetic window sums for anchors in box = ((a0, a1), (b0, b1), (c0, c1))."""
+def _cyl_sums_kinetic(vals, axes, r, box, stride):
+    """Kinetic window sums for the anchors a0::stride, b0::stride, c0::stride
+    of box = ((a0, a1), (b0, b1), (c0, c1))."""
     (a0, a1), (b0, b1), (c0, c1) = box
     Nt, Nx, Nv = vals.shape
     dt, dx, dv = axes[0].h, axes[1].h, axes[2].h
@@ -218,38 +221,43 @@ def _cyl_sums_kinetic(vals, axes, r, box):
     shift = -kk * dt * vc[None, :]
     LO = np.floor(shift / dx - r ** 3 / dx).astype(int) + 1
     HI = np.ceil(shift / dx + r ** 3 / dx).astype(int) - 1
-    counts = (HI - LO + 1).sum(axis=0) * (2 * mv + 1)
     # prefix sums only over the cells the box's windows reach: time rows
     # t0..a1, x cells x0..x1, v cells v0..v1 (the full lattice for the full box)
     t0 = max(a0 - kmax, 0)
     x0 = min(max(b0 + int(LO.min()), 0), Nx)
     x1 = min(max(b1 + int(HI.max()), 0), Nx)
     v0, v1 = max(c0 - mv, 0), min(c1 + mv, Nv)
-    # window sums along v (clipped at the box; anchors near the v-edge see a
-    # truncated numerator, counts still use the full width)
-    sub = vals[t0:a1, x0:x1, v0:v1]
-    Cv = np.concatenate([np.zeros(sub.shape[:2] + (1,)), np.cumsum(sub, axis=2)], axis=2)
-    j = np.arange(c0, c1)
+    LO, HI = LO[:, ::stride], HI[:, ::stride]
+    counts = (HI - LO + 1).sum(axis=0) * (2 * mv + 1)
+    acc = _accumulator(vals)
+    # window sums along v at the anchor velocities (clipped at the box; anchors
+    # near the v-edge see a truncated numerator, counts use the full width)
+    Cv = np.zeros((a1 - t0, x1 - x0, v1 - v0 + 1), acc)
+    np.cumsum(vals[t0:a1, x0:x1, v0:v1], axis=2, out=Cv[:, :, 1:])
+    j = np.arange(c0, c1, stride)
     jlo = np.clip(j - mv, 0, Nv) - v0
     jhi = np.clip(j + mv + 1, 0, Nv) - v0
-    Dv = Cv[:, :, jhi] - Cv[:, :, jlo]
-    Cx = np.concatenate([np.zeros((a1 - t0, 1, c1 - c0)), np.cumsum(Dv, axis=1)], axis=1)
-    sums = np.zeros((a1 - a0, b1 - b0, c1 - c0))
-    c = np.arange(b0, b1)[:, None]
-    jb = np.arange(c1 - c0)[None, :]
+    Cx = np.zeros((a1 - t0, x1 - x0 + 1, j.size), acc)
+    np.cumsum(Cv[:, :, jhi] - Cv[:, :, jlo], axis=1, out=Cx[:, 1:])
+    # one gather per time offset from the (t, x.v) rows of Cx
+    flat = Cx.reshape(a1 - t0, -1)
+    c = np.arange(b0, b1, stride)[:, None]
+    jb = np.arange(j.size)[None, :]
+    sums = np.zeros((len(range(a0, a1, stride)), c.size, j.size), acc)
     for k in range(kmax + 1):
-        ilo = np.clip(c + LO[k][None, :], 0, Nx) - x0
-        ihi = np.clip(c + HI[k][None, :] + 1, 0, Nx) - x0
         # anchor rows a >= k read data row a - k; local data row a - k - t0
-        a = max(a0, k)
+        p = max(-((a0 - k) // stride), 0)
+        a = a0 + p * stride
         if a >= a1:
             break
-        rows = slice(a - k - t0, a1 - k - t0)
-        sums[a - a0:] += Cx[rows, ihi, jb] - Cx[rows, ilo, jb]
+        ilo = (np.clip(c + LO[k], 0, Nx) - x0) * j.size + jb
+        ihi = (np.clip(c + HI[k] + 1, 0, Nx) - x0) * j.size + jb
+        win = np.take(flat[a - k - t0:a1 - k - t0:stride], (ihi, ilo), axis=1)
+        sums[p:] += win[:, 0] - win[:, 1]
     return sums, np.broadcast_to(counts.astype(float), sums.shape)
 
 
-def _cyl_sums_parabolic(vals, axes, r, box):
+def _cyl_sums_parabolic(vals, axes, r, box, stride):
     """Parabolic analogue of _cyl_sums_kinetic on a (t, x) lattice."""
     (a0, a1), (b0, b1) = box
     Nt, Nx = vals.shape
@@ -258,14 +266,15 @@ def _cyl_sums_parabolic(vals, axes, r, box):
     lo, hi = _window_offsets(0.0, r, dx)
     t0 = max(a0 - kmax, 0)
     x0, x1 = min(max(b0 + lo, 0), Nx), min(max(b1 + hi, 0), Nx)
-    Cx = np.concatenate([np.zeros((a1 - t0, 1)),
-                         np.cumsum(vals[t0:a1, x0:x1], axis=1)], axis=1)
-    c = np.arange(b0, b1)
+    acc = _accumulator(vals)
+    Cx = np.zeros((a1 - t0, x1 - x0 + 1), acc)
+    np.cumsum(vals[t0:a1, x0:x1], axis=1, out=Cx[:, 1:])
+    c = np.arange(b0, b1, stride)
     ilo = np.clip(c + lo, 0, Nx) - x0
     ihi = np.clip(c + hi + 1, 0, Nx) - x0
-    row = Cx[:, ihi] - Cx[:, ilo]
-    Ct = np.concatenate([np.zeros((1, b1 - b0)), np.cumsum(row, axis=0)], axis=0)
-    i = np.arange(a0, a1)
+    Ct = np.zeros((a1 - t0 + 1, c.size), acc)
+    np.cumsum(Cx[:, ihi] - Cx[:, ilo], axis=0, out=Ct[1:])
+    i = np.arange(a0, a1, stride)
     tlo = np.clip(i - kmax, 0, Nt) - t0
     thi = i + 1 - t0
     sums = Ct[thi] - Ct[tlo]
@@ -273,25 +282,31 @@ def _cyl_sums_parabolic(vals, axes, r, box):
     return sums, np.full(sums.shape, counts)
 
 
-def _cyl_sums(vals, axes, r, geometry, box=None):
+def _accumulator(vals):
+    """Prefix-sum dtype: integers for a 0/1 mask, floats otherwise."""
+    return np.int64 if vals.dtype == bool else np.float64
+
+
+def _cyl_sums(vals, axes, r, geometry, box=None, stride=1):
     """Sums of zero-extended vals over Q_r anchored at the cell centres of box.
 
-    box is a tuple of index slices (None: the whole lattice).  Returns
-    (sums, counts) on the box, counts being the full-cylinder cell count
+    box is a tuple of index slices (None: the whole lattice); the anchors are
+    every stride-th cell of it along each axis, from its first cell.  Returns
+    (sums, counts) on those anchors, counts being the full-cylinder cell count
     (the cylinder is not clipped at the lattice; outside cells contribute 0).
-    Prefix sums are built only over the cells the box's windows reach.  On
+    Prefix sums are built only over the cells the box's windows reach, and
+    are read only at the anchors; the stride leaves every sum unchanged.  On
     the whole lattice this is the full-lattice computation; on a smaller box
-    the prefix sums start at another origin, which leaves the sums exact
-    when vals are integers (0/1 masks: every partial sum is an integer below
-    2**53), but may move low bits of non-integer data.
+    the prefix sums start at another origin, which leaves the sums exact for
+    a boolean mask (summed as integers) but may move low bits of float data.
     """
     if box is None:
         box = (slice(None),) * vals.ndim
     bounds = [s.indices(n)[:2] for s, n in zip(box, vals.shape)]
     if geometry == "kinetic":
-        return _cyl_sums_kinetic(vals, axes, r, bounds)
+        return _cyl_sums_kinetic(vals, axes, r, bounds, stride)
     if geometry == "parabolic":
-        return _cyl_sums_parabolic(vals, axes, r, bounds)
+        return _cyl_sums_parabolic(vals, axes, r, bounds, stride)
     raise ValueError(f"unknown geometry {geometry!r}")
 
 
@@ -422,7 +437,7 @@ _K_CAP = 6     # the family's dyadic radii stop at 2**-_K_CAP
 _N_SEEDS = 4   # a synthesized E is the union of _N_SEEDS small cylinders
 
 
-def crawling_constant(d, geometry):
+def crawling_constant(d):
     """The measure-decay constant of the crawling ink spots lemma, the same
     for both geometries: 5^{-1-d} _MU / 2 = 5^{-1-d} 2^{-2}."""
     return 5.0 ** (-1 - d) * _MU / 2.0
@@ -443,32 +458,52 @@ def _stack_union(axes, geometry, m, r, hot):
     its order, so one anchor gives cylinder_mask(StackedCylinder(base, m))
     on the whole lattice, bit for bit."""
     centers = [a.centers() for a in axes]
+    union = np.zeros(tuple(a.n for a in axes), dtype=bool)
+    if len(hot) == 0:
+        return union
+    # T[i, i'] iff time row i' lies in the stacks anchored on row rows[i]
+    t = centers[0]
+    rows, ri = np.unique(hot[:, 0], return_inverse=True)
+    dt = t[None, :] - t[rows, None]
+    T = (dt > 0.0) & (dt < m * r * r)
     if geometry == "parabolic":
         # cell (i', j') lies in the stack of anchor (i, j) iff T[i, i'] and
-        # X[j, j'], over the time rows and x columns that hold an anchor
-        t, x = centers
-        rows, ri = np.unique(hot[:, 0], return_inverse=True)
+        # X[j, j'], over the x columns that hold an anchor
+        x = centers[1]
         cols, cj = np.unique(hot[:, 1], return_inverse=True)
-        dt = t[None, :] - t[rows, None]
-        T = (dt > 0.0) & (dt < m * r * r)
         X = (x[None, :] - x[cols, None]) ** 2 < r * r
         H = np.zeros((rows.size, cols.size), dtype=np.float32)
         H[ri, cj] = 1.0
         # each partial sum counts anchors, at most 384 * 384 < 2**24 (the cap of
         # RasterMask.for_box), so float32 is exact in any BLAS order or threads
         return T.T.astype(np.float32) @ H @ X.astype(np.float32) > 0
-    union = np.zeros(tuple(a.n for a in axes), dtype=bool)
+    x, v = centers[1], centers[2]
     xw = (m + 2) * r ** 3
-    for idx in hot:
-        t0, x0, v0 = (c[i] for c, i in zip(centers, idx))
-        # the stack's bounding box, widened by one cell on every side
-        lo = [t0, x0 + min(0.0, m * r * r * v0) - xw, v0 - r]
-        hi = [t0 + m * r * r, x0 + max(0.0, m * r * r * v0) + xw, v0 + r]
-        sl = tuple(slice(max(int(math.floor((l - a.lo) / a.h)) - 1, 0),
-                         min(int(math.ceil((h - a.lo) / a.h)) + 1, a.n))
-                   for a, l, h in zip(axes, lo, hi))
-        stack = StackedCylinder(_cylinder_at((t0, x0, v0), r, geometry), m)
-        union[sl] |= cylinder_mask(stack, np.ix_(*[c[s] for c, s in zip(centers, sl)]))
+    # each predicate below is monotone along its axis, so a stack's time rows
+    # are the run first:last of its T row and its velocities are one run too
+    first = T.argmax(axis=1)[ri]
+    last = first + T.sum(axis=1)[ri]
+    # each stack's x cells lo:hi, its bounding box widened by one cell
+    xc, vc, ax = x[hot[:, 1]], v[hot[:, 2]], axes[1]
+    lo = np.maximum(np.floor((xc + np.minimum(0.0, m * r * r * vc) - xw - ax.lo)
+                             / ax.h).astype(int) - 1, 0)
+    hi = np.minimum(np.ceil((xc + np.maximum(0.0, m * r * r * vc) + xw - ax.lo)
+                            / ax.h).astype(int) + 1, ax.n)
+    # anchors of one velocity share their stacks' velocities: their (t, x)
+    # windows are ORed into one plane, which makes one 3-D update
+    order = np.argsort(hot[:, 2], kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(hot[order, 2])) + 1):
+        v0 = v[hot[group[0], 2]]
+        vs = np.flatnonzero((v - v0) ** 2 < r * r)
+        t0, t1 = int(first[group].min()), int(last[group].max())
+        x0, x1 = int(lo[group].min()), int(hi[group].max())
+        plane = np.zeros((t1 - t0, x1 - x0), dtype=bool)
+        for g, j, p, q, a, b in zip(ri[group].tolist(), hot[group, 1].tolist(),
+                                    first[group].tolist(), last[group].tolist(),
+                                    lo[group].tolist(), hi[group].tolist()):
+            near = (x[a:b] - x[j] - dt[g, p:q, None] * v0) ** 2 < xw * xw
+            plane[p - t0:q - t0, a - x0:b - x0] |= near
+        union[t0:t1, x0:x1, vs[0]:vs[-1] + 1] |= plane[:, :, None]
     return union
 
 
@@ -487,16 +522,29 @@ class InkSpotsReport:
     family: dict
 
 
-def _anchor_admissible(mask_obj, geometry, r):
-    """Anchors whose cylinder Q_r is contained in Q1 (d = 1 lattices)."""
-    grids = mask_obj.grids()
-    t = grids[0]
-    ok = (t <= 0.0) & (t - r * r > -1.0)
+def _anchor_admissible(mask_obj, geometry, r, stride):
+    """Anchors on the stride sublattice (every stride-th cell from index 0)
+    whose cylinder Q_r is contained in Q1 (d = 1 lattices).
+
+    Returns (box, adm): box the index slices of the smallest box holding every
+    such anchor, adm their mask on the box's sublattice; (None, None) if there
+    are none.  Each condition involves t alone or space alone, so adm is the
+    outer product of a t mask and an x (and v) mask.
+    """
+    centers = [a.centers()[::stride] for a in mask_obj.axes]
+    t = centers[0]
+    ok_t = (t <= 0.0) & (t - r * r > -1.0)
     if geometry == "parabolic":
-        return ok & (np.abs(grids[1]) + r < 1.0)
-    x, v = grids[1], grids[2]
-    ok = ok & (np.abs(x) + r * r * np.abs(v) + r ** 3 < 1.0)
-    return ok & (np.abs(v) + r < 1.0)
+        ok_s = np.abs(centers[1]) + r < 1.0
+    else:
+        x, v = centers[1][:, None], centers[2][None, :]
+        ok_s = (np.abs(x) + r * r * np.abs(v) + r ** 3 < 1.0) & (np.abs(v) + r < 1.0)
+    box_t, box_s = _bounding_box(ok_t), _bounding_box(ok_s)
+    if box_t is None or box_s is None:
+        return None, None
+    adm = ok_t[box_t].reshape((-1,) + (1,) * ok_s.ndim) & ok_s[box_s]
+    box = tuple(slice(s.start * stride, (s.stop - 1) * stride + 1) for s in box_t + box_s)
+    return box, adm
 
 
 def _dyadic_radii(mask_obj, geometry):
@@ -513,26 +561,16 @@ def _dyadic_radii(mask_obj, geometry):
     return radii
 
 
-def _lattice_mask(shape, stride):
-    if stride <= 1:
-        return True
-    grids = np.ix_(*[np.arange(n) % stride == 0 for n in shape])
-    out = np.zeros(shape, dtype=bool)
-    out[grids] = True
-    return out
-
-
-def _hot_anchors(vals, mask_obj, geometry, r, lattice):
+def _hot_anchors(E, geometry, r, stride):
     """Lattice indices, in C order, of the admissible anchors on the stride
-    lattice whose Q_r is more than _MU-filled by vals.  Window sums are taken
-    only on the bounding box of those anchors."""
-    adm = _anchor_admissible(mask_obj, geometry, r) & lattice
-    box = _bounding_box(adm)
+    sublattice whose Q_r is more than _MU-filled by E.  Window sums are taken
+    only at those sublattice anchors that lie in the anchors' bounding box."""
+    box, adm = _anchor_admissible(E, geometry, r, stride)
     if box is None:
-        return np.empty((0, adm.ndim), dtype=int)
-    sums, counts = _cyl_sums(vals, mask_obj.axes, r, geometry, box)
-    hot = (sums > _MU * counts) & adm[box]
-    return np.argwhere(hot) + [s.start for s in box]
+        return np.empty((0, E.mask.ndim), dtype=int)
+    sums, counts = _cyl_sums(E.mask, E.axes, r, geometry, box, stride)
+    hot = (sums > _MU * counts) & adm
+    return np.argwhere(hot) * stride + [s.start for s in box]
 
 
 def ink_spots_check(E, F, geometry, m, r0, stride=1):
@@ -558,12 +596,10 @@ def ink_spots_check(E, F, geometry, m, r0, stride=1):
     measure_F_q1 = float((F.mask & q1).sum()) * vol
 
     radii = _dyadic_radii(E, geometry)
-    lattice = _lattice_mask(E.mask.shape, stride)
-    vals = E.mask.astype(float)
     violations = []
     flagged = 0
     for r in radii:
-        hot = _hot_anchors(vals, E, geometry, r, lattice)
+        hot = _hot_anchors(E, geometry, r, stride)
         if len(hot) == 0:
             continue
         if r >= r0:
@@ -579,7 +615,7 @@ def ink_spots_check(E, F, geometry, m, r0, stride=1):
                                "reason": "stacked cylinder not inside F",
                                "missing_cells": int(missing.sum())})
 
-    c = crawling_constant(d, geometry)
+    c = crawling_constant(d)
     C = leak_constant(d, geometry)
     rhs = (m + 1.0) / m * (1.0 - c) * (measure_F_q1 + C * m * r0 ** 2)
     hypothesis_ok = not violations
@@ -634,13 +670,11 @@ def synthesize_ink_spots_instance(geometry, m, r0, rng, cells_per_unit=96,
     E.mask &= E.rasterize(_cylinder_at((0.0, 0.0, 0.0), 1.0, geometry))
 
     F = RasterMask(E.axes, E.mask.copy())
-    lattice = _lattice_mask(E.mask.shape, stride)
-    vals = E.mask.astype(float)
     for r in _dyadic_radii(E, geometry):
         if r >= r0:
             # large half-filled cylinders would violate the hypothesis; the
             # synthesized E is sparse enough that none occur (checked below)
             continue
         F.mask |= _stack_union(E.axes, geometry, m, r,
-                               _hot_anchors(vals, E, geometry, r, lattice))
+                               _hot_anchors(E, geometry, r, stride))
     return E, F

@@ -20,9 +20,8 @@ import numpy as np
 __all__ = [
     "PhasePoint", "EuclideanBall", "KineticCylinder", "ParabolicCylinder",
     "StackedCylinder", "origin", "compose", "inverse", "scale", "sup_norm",
-    "kinetic_distance", "kinetic_distance_batch", "kinetic_distance_grid",
-    "cylinder_mask", "cylinder_contains", "dilate_5Q",
-    "DistanceConvergenceError",
+    "kinetic_distance", "kinetic_distance_batch", "cylinder_mask",
+    "cylinder_contains", "dilate_5Q", "DistanceConvergenceError",
 ]
 
 
@@ -434,15 +433,3 @@ def kinetic_distance(z1, z2, tol=1e-9):
     if gap[0] > tol:
         raise DistanceConvergenceError(float(best[0]), float(gap[0]))
     return float(best[0])
-
-
-def kinetic_distance_grid(z1, z2, n=121):
-    """Independent cross-check: brute-force grid minimum over the velocity box
-    hull(v1, v2) inflated by the sup-norm upper bound in every coordinate."""
-    upper = sup_norm(compose(inverse(z2), z1))
-    lo = np.minimum(z1.v, z2.v) - upper - 1e-12
-    hi = np.maximum(z1.v, z2.v) + upper + 1e-12
-    axes = [np.linspace(lo[i], hi[i], n) for i in range(z1.d)]
-    W = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, z1.d)
-    vals = _distance_objective(W, z1.t - z2.t, z1.x - z2.x, z1.v, z2.v)
-    return float(vals.min())

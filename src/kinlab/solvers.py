@@ -490,11 +490,23 @@ def _pcg(apply_op, rhs, precond, tol=1e-10, max_iter=20000, shift=0.0, x0=None):
     solve.  Every inner product, the residual norms included, is a pairwise
     `.sum()` of a full-shape product, as the rounding of the iterates
     depends on that order; no BLAS routine runs, so the solve keeps to one
-    thread.  Raises SolverError at the first non-finite residual and when
-    max_iter iterations do not reach tol.
+    thread.  Raises SolverError at the first non-finite residual, at the
+    first overflow (which would make one), and when max_iter iterations do
+    not reach tol.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    history = []
+    try:
+        with np.errstate(over="raise"):
+            return _cg(apply_op, rhs, precond, tol, max_iter, shift, x0, history)
+    except FloatingPointError as exc:
+        raise SolverError(f"conjugate gradients hit a non-finite residual ({exc}) "
+                          f"at iteration {len(history) + 1}", history) from None
+
+
+def _cg(apply_op, rhs, precond, tol, max_iter, shift, x0, history):
+    """The iterations of _pcg, appending each relative residual to history."""
     Ap, tmp = np.empty_like(rhs), np.empty_like(rhs)
     r = rhs.copy()
     if x0 is None:
@@ -504,7 +516,6 @@ def _pcg(apply_op, rhs, precond, tol=1e-10, max_iter=20000, shift=0.0, x0=None):
         apply_op(x, out=Ap)
         r -= np.add(np.multiply(shift, x, out=tmp), Ap, out=Ap)
     nrhs = math.sqrt(float(np.multiply(rhs, rhs, out=tmp).sum()))
-    history = []
     if nrhs == 0.0:
         return np.zeros_like(rhs), history
     if x0 is not None and math.sqrt(float(np.multiply(r, r, out=tmp).sum())) / nrhs <= tol:

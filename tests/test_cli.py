@@ -299,6 +299,7 @@ def test_holder_scan_constant_sentinel_and_jobs(tmp_path):
     assert report["config_hash"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("cfg", [{"Lam": 1e300}, {"box": 1e-100}],
                          ids=["huge-Lam", "tiny-box"])

@@ -152,8 +152,8 @@ def test_interval_stacking_random_families(seed, m):
 
 
 def test_covering_constants():
-    assert cov.crawling_constant(1, "kinetic") == pytest.approx(5 ** -2 * 2 ** -2)
-    assert cov.crawling_constant(2, "kinetic") == pytest.approx(5 ** -3 * 2 ** -2)
+    assert cov.crawling_constant(1) == pytest.approx(5 ** -2 * 2 ** -2)
+    assert cov.crawling_constant(2) == pytest.approx(5 ** -3 * 2 ** -2)
     assert cov.leak_constant(1, "parabolic") == pytest.approx(2.0)
     assert cov.leak_constant(1, "kinetic") == pytest.approx(12.0)
 
@@ -289,17 +289,90 @@ def test_boxed_window_sums_match_brute_force(geometry, axes, r, boxes):
         assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("geometry, axes, r, boxes", _SUM_CASES)
+def test_strided_window_sums_are_the_full_sums_at_the_anchors(geometry, axes, r,
+                                                              boxes, stride):
+    shape = tuple(a.n for a in axes)
+    rng = np.random.default_rng(11)
+    mask = rng.random(shape) < 0.4
+    real = rng.random(shape)
+    full_box = tuple(slice(None) for _ in shape)
+    full_mask = cov._cyl_sums(mask.astype(float), axes, r, geometry)
+    full_real = cov._cyl_sums(real, axes, r, geometry)
+    for box in boxes + [full_box]:
+        anchors = tuple(slice(s.start, s.stop, stride) for s in box)
+        # a 0/1 mask is summed as integers, to the full-lattice float sums
+        got, cnt = cov._cyl_sums(mask, axes, r, geometry, box, stride)
+        assert got.dtype.kind == "i"
+        assert np.array_equal(got, full_mask[0][anchors])
+        assert np.array_equal(cnt, full_mask[1][anchors])
+        # float data: the same prefix-sum origin as the unstrided box
+        got, cnt = cov._cyl_sums(real, axes, r, geometry, box, stride)
+        want, want_cnt = cov._cyl_sums(real, axes, r, geometry, box)
+        assert np.array_equal(got, want[(slice(None, None, stride),) * len(shape)])
+        assert np.array_equal(cnt, want_cnt[(slice(None, None, stride),) * len(shape)])
+        if box == full_box:
+            assert np.array_equal(got, full_real[0][anchors])
+
+
 _VIOLATION_CASES = [("kinetic", 32, 2), ("parabolic", 64, 1)]
+
+
+def _admissible_on_lattice(E, geometry, r, stride):
+    """Admissible anchors on the stride sublattice, as a full-lattice mask:
+    Q_r inside Q1 evaluated on the broadcast grids, and every index of the
+    anchor a multiple of stride."""
+    grids = E.grids()
+    t = grids[0]
+    ok = (t <= 0.0) & (t - r * r > -1.0)
+    if geometry == "parabolic":
+        ok = ok & (np.abs(grids[1]) + r < 1.0)
+    else:
+        x, v = grids[1], grids[2]
+        ok = ok & (np.abs(x) + r * r * np.abs(v) + r ** 3 < 1.0)
+        ok = ok & (np.abs(v) + r < 1.0)
+    on = np.zeros(E.mask.shape, dtype=bool)
+    on[np.ix_(*[np.arange(n) % stride == 0 for n in E.mask.shape])] = True
+    return ok & on
+
+
+def _hot_on_lattice(E, geometry, r, stride):
+    """The half-filled admissible anchors, from full-lattice float sums."""
+    sums, counts = cov._cyl_sums(E.mask.astype(float), E.axes, r, geometry)
+    return _admissible_on_lattice(E, geometry, r, stride) & (sums > 0.5 * counts)
 
 
 def _assert_hot_admissible(E, geometry, stride, violations):
     assert json.loads(json.dumps(violations)) == violations
     for v in violations:
         r, idx = v["radius"], tuple(v["anchor_index"])
-        sums, counts = cov._cyl_sums(E.mask.astype(float), E.axes, r, geometry)
-        adm = (cov._anchor_admissible(E, geometry, r)
-               & cov._lattice_mask(E.mask.shape, stride))
-        assert adm[idx] and sums[idx] > 0.5 * counts[idx]
+        assert _hot_on_lattice(E, geometry, r, stride)[idx]
+
+
+@pytest.mark.parametrize("geometry, cells, stride",
+                         _VIOLATION_CASES + [("kinetic", 32, 1), ("parabolic", 64, 2)])
+def test_hot_anchors_match_the_full_lattice_formula(geometry, cells, stride):
+    rng = np.random.default_rng(4)
+    E, _ = cov.synthesize_ink_spots_instance(geometry, 2, 1.0, rng,
+                                             cells_per_unit=cells, stride=stride)
+    radii = cov._dyadic_radii(E, geometry)
+    assert len(radii) >= 2
+    found = 0
+    for r in radii:
+        ref = _admissible_on_lattice(E, geometry, r, stride)
+        box, adm = cov._anchor_admissible(E, geometry, r, stride)
+        if box is None:
+            assert not ref.any()
+            continue
+        # the smallest box holding every admissible anchor, and the mask on
+        # its sublattice
+        assert box == cov._bounding_box(ref)
+        assert np.array_equal(adm, ref[tuple(slice(s.start, s.stop, stride) for s in box)])
+        hot = cov._hot_anchors(E, geometry, r, stride)
+        np.testing.assert_array_equal(hot, np.argwhere(_hot_on_lattice(E, geometry, r, stride)))
+        found += len(hot)
+    assert found > 0
 
 
 @pytest.mark.parametrize("geometry, cells, stride", _VIOLATION_CASES)
@@ -365,14 +438,13 @@ def test_ink_spots_check_reads_every_flagged_stack():
     # the flagged anchors in check order, and per cell how many of their
     # stacks cover it and (where one does) which
     grids, centers = E.grids(), [a.centers() for a in E.axes]
-    lattice = cov._lattice_mask(E.mask.shape, 1)
     flagged = []
     cover = np.zeros(E.mask.shape, int)
     owner = np.zeros(E.mask.shape, int)
     for r in cov._dyadic_radii(E, "parabolic"):
         if r >= 1.0:
             continue
-        for idx in cov._hot_anchors(E.mask.astype(float), E, "parabolic", r, lattice):
+        for idx in np.argwhere(_hot_on_lattice(E, "parabolic", r, 1)):
             base = geo._cylinder_at([c[i] for c, i in zip(centers, idx)], r, "parabolic")
             cells = geo.cylinder_mask(geo.StackedCylinder(base, 1), grids)
             cover += cells
