@@ -25,7 +25,7 @@ def run_instance(lam, seed, n=176):
                    boundary=lambda p: a[0] + a[1] * p[..., 0]
                    + a[2] * p[..., 1], source=0.0)
     sol = sv.solve_elliptic(P)
-    return dg.oscillation_profile(sol.u, (0.0, 0.0), k_max=6, r0=1.0)
+    return dg.oscillation_profile(sol.u, (0.0, 0.0), k_max=6)
 
 
 def main():

@@ -17,8 +17,8 @@ def main():
     t0, T = 0.2, 0.05
     axes = [Axis("x", -0.35, 0.35, 128), Axis("v", -3.0, 3.0, 128)]
     X, V = np.meshgrid(axes[0].centers(), axes[1].centers(), indexing="ij")
-    f0 = ker.gamma(t0, X[..., None], V[..., None], d=1)
-    exact = ker.gamma(t0 + T, X[..., None], V[..., None], d=1)
+    f0 = ker.gamma(t0, X[..., None], V[..., None])
+    exact = ker.gamma(t0 + T, X[..., None], V[..., None])
     coef = sv.make_coefficients({"kind": "identity", "lam": 1.0, "Lam": 1.0})
 
     print(f"evolving the kernel from t={t0} to t={t0 + T}")

@@ -269,7 +269,7 @@ def cmd_verify_kernel(cfg, jobs, outdir):
     ax = np.linspace(-L, L, n * 2 + 1)
     h = ax[1] - ax[0]
     X, V = np.meshgrid(ax, ax, indexing="ij")
-    m1 = float(ker.gamma1(X[..., None], V[..., None], d=1).sum()) * h * h
+    m1 = float(ker.gamma1(X[..., None], V[..., None]).sum()) * h * h
     # the time-1 kernel factorizes exactly over (x_i, v_i) coordinate pairs,
     # so the in-box mass in dimension d is the d-th power of the planar one
     mass = m1 ** d
@@ -290,7 +290,7 @@ def cmd_verify_kernel(cfg, jobs, outdir):
         ts, xs, vs = (a.centers() for a in axes_r)
         gvals = np.empty(tuple(a.n for a in axes_r))
         for k, tk in enumerate(ts):  # one t-slab at a time: no full meshgrid
-            gvals[k] = ker.gamma(tk, xs[:, None, None], vs[None, :, None], d=1)
+            gvals[k] = ker.gamma(tk, xs[:, None, None], vs[None, :, None])
         reps.append(ker.kolmogorov_residual(GridFunction(axes_r, gvals)))
     order = ker.residual_convergence_order(reps, hs)
     records.append({"check": "residual_order", "passed": bool(order >= 1.8),
@@ -352,7 +352,7 @@ def _holder_instance(i, cfg):
         sol = sv.solve_elliptic(P)
     except sv.SolverError as exc:
         return i, exc
-    return i, dg.oscillation_profile(sol.u, (0.0, 0.0), k_max=cfg["k_max"], r0=1.0)
+    return i, dg.oscillation_profile(sol.u, (0.0, 0.0), k_max=cfg["k_max"])
 
 
 def cmd_holder_scan(cfg, jobs, outdir):
@@ -501,12 +501,10 @@ def cmd_covering(cfg, jobs, outdir):
             try:
                 E, F = cov.synthesize_ink_spots_instance(
                     geometry, cfg["m_ink"], cfg["r0"], inst_rng,
-                    cells_per_unit=48 if geometry == "kinetic" else 96,
-                    stride=2 if geometry == "kinetic" else 1)
+                    cells_per_unit=48 if geometry == "kinetic" else 96)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-            rep = cov.ink_spots_check(E, F, geometry, cfg["m_ink"], cfg["r0"],
-                                      stride=2 if geometry == "kinetic" else 1)
+            rep = cov.ink_spots_check(E, F, geometry, cfg["m_ink"], cfg["r0"])
             bad += not rep.passed
         records.append({"check": "ink_spots", "passed": bad == 0,
                         "failures": bad, "instances": cfg["ink_spots"]})

@@ -14,6 +14,9 @@ admissible anchors.  They sum 0/1 masks as integers, with no float copy, so
 the box changes no bit.
 The maximal function asks for every anchor, the full-lattice computation.
 Ink-spots synthesis adds, and the check tests, one union of stacks per radius.
+Both read the anchor stride from the geometry (_STRIDE): every lattice cell
+for parabolic, every second cell along each axis for kinetic, so an instance
+is always checked over the family it was built from.
 """
 
 import math
@@ -435,6 +438,7 @@ def stacked_union_ratio(family, m, cells_per_unit=128):
 _MU = 0.5      # a family cylinder is half-filled when E fills more than _MU of it
 _K_CAP = 6     # the family's dyadic radii stop at 2**-_K_CAP
 _N_SEEDS = 4   # a synthesized E is the union of _N_SEEDS small cylinders
+_STRIDE = {"parabolic": 1, "kinetic": 2}   # anchors on every _STRIDE-th cell per axis
 
 
 def crawling_constant(d):
@@ -573,13 +577,14 @@ def _hot_anchors(E, geometry, r, stride):
     return np.argwhere(hot) * stride + [s.start for s in box]
 
 
-def ink_spots_check(E, F, geometry, m, r0, stride=1):
+def ink_spots_check(E, F, geometry, m, r0):
     """Verify the stacked ink-spots inequality on rasterized sets.
 
     E, F: RasterMask objects on the same (extended) box containing Q1.
     Hypothesis, over the documented family (dyadic radii, anchors at every
-    admissible lattice point): every family cylinder Q inside Q1 with
-    |Q cap E| > _MU |Q| must have radius < r0 and its m-stack inside F.
+    admissible cell of the _STRIDE[geometry] sublattice): every family
+    cylinder Q inside Q1 with |Q cap E| > _MU |Q| must have radius < r0 and
+    its m-stack inside F.
     The stack containment is checked for every such cylinder at once, as
     the containment of the union of their stacks.  Each failing radius
     gives one violation naming its first offending anchor in C order.
@@ -596,6 +601,7 @@ def ink_spots_check(E, F, geometry, m, r0, stride=1):
     measure_F_q1 = float((F.mask & q1).sum()) * vol
 
     radii = _dyadic_radii(E, geometry)
+    stride = _STRIDE[geometry]
     violations = []
     flagged = 0
     for r in radii:
@@ -627,8 +633,7 @@ def ink_spots_check(E, F, geometry, m, r0, stride=1):
                           hypothesis_ok, violations, family)
 
 
-def synthesize_ink_spots_instance(geometry, m, r0, rng, cells_per_unit=96,
-                                  stride=1):
+def synthesize_ink_spots_instance(geometry, m, r0, rng, cells_per_unit=96):
     """Build an admissible (E, F) pair: E a union of _N_SEEDS small cylinders
     deep in Q1, F the union of E with the m-stacks of every half-filled family
     cylinder, so the theorem hypothesis holds by construction.  Raises
@@ -676,5 +681,5 @@ def synthesize_ink_spots_instance(geometry, m, r0, rng, cells_per_unit=96,
             # synthesized E is sparse enough that none occur (checked below)
             continue
         F.mask |= _stack_union(E.axes, geometry, m, r,
-                               _hot_anchors(E, geometry, r, stride))
+                               _hot_anchors(E, geometry, r, _STRIDE[geometry]))
     return E, F

@@ -237,23 +237,19 @@ class OscillationProfile:
     dropped: list
 
 
-def oscillation_profile(u, center, k_max=6, r0=None):
-    """Grid oscillation of u over nested dyadic balls around a center.
+def oscillation_profile(u, center, k_max=6):
+    """Grid oscillation of u over the balls B_r(center), r = 2^-k, k <= k_max.
 
     Fits log(osc) against log(r) over the resolved decaying range.  The fit
     drops the two largest radii (boundary pollution) and every radius below
     two cells or whose ball holds fewer than 8 cells; fewer than 4 surviving
     points, or an identically constant u, yield the +inf sentinel exponent.
     """
-    if r0 is None:
-        spans = [min(abs(c - a.lo), abs(c - a.hi))
-                 for c, a in zip(np.atleast_1d(center).ravel(), u.axes)]
-        r0 = max(min(spans), 1e-9)
     h = max(a.h for a in u.axes)
     grids = np.ix_(*u.centers())
     radii, oscs, dropped = [], [], []
     for k in range(k_max + 1):
-        r = r0 * 2.0 ** (-k)
+        r = 2.0 ** (-k)
         # a half-cell pad (cells meeting the ball rather than centered in it)
         # cancels the first-order bias that grid oscillation carries at small
         # radii, which would otherwise contaminate the fitted decay exponent
@@ -282,6 +278,9 @@ def oscillation_profile(u, center, k_max=6, r0=None):
 # ---------------------------------------------------------------------------
 # Harnack quotients, expansion, intermediate values
 # ---------------------------------------------------------------------------
+
+_ETA0 = 0.5   # radius of the positivity cylinder of expansion_experiment
+
 
 @dataclass
 class HarnackReport:
@@ -320,21 +319,21 @@ def harnack_quotient(sol, omega=0.25):
                           "future": "Q_omega", "time_span": span})
 
 
-def expansion_experiment(solutions, eta0=0.5):
+def expansion_experiment(solutions):
     """Minimum over Q_1 for solutions seeded with mass near the initial time.
 
     Hypothesis per instance: |{f >= 1} cap Q_pos| >= 1/2 |Q_pos| with
-    Q_pos = Q_eta0(-1, 0, 0) in scaled time.
+    Q_pos = Q_eta0(-1, 0, 0) in scaled time, eta0 = _ETA0.
     Returns the per-instance minima and the ensemble minimum over the
     instances satisfying the hypothesis.
     """
     table = []
-    pos = _cylinder_at((-1.0, 0.0, 0.0), eta0)
+    pos = _cylinder_at((-1.0, 0.0, 0.0), _ETA0)
     q1 = _cylinder_at((0.0, 0.0, 0.0), 1.0)
     for sol in solutions:
         # scale the stored trajectory onto (-1 - eta0^2, 0] so the positivity
         # cylinder anchored at -1 sits fully inside the data
-        tr = _trajectory(sol, scale=1.0 + eta0 ** 2)
+        tr = _trajectory(sol, scale=1.0 + _ETA0 ** 2)
         hit = tot = 0
         for f, m in zip(tr.history, tr.masks(pos)):
             hit += int((f[m] >= 1.0).sum())
@@ -348,7 +347,7 @@ def expansion_experiment(solutions, eta0=0.5):
     admitted = [row["min_Q1"] for row in table if row["hypothesis"]]
     ell_hat = min(admitted) if admitted else math.nan
     return {"table": table, "ell_hat": ell_hat, "admitted": len(admitted),
-            "excluded": len(table) - len(admitted), "eta0": eta0}
+            "excluded": len(table) - len(admitted), "eta0": _ETA0}
 
 
 def intermediate_value_stats(u, C_PW=None):

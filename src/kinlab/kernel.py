@@ -6,10 +6,11 @@ The kernel
                    exp(-3|x - (t/2)v|^2 / t^3 - |v|^2 / (4t)),   t > 0,
 
 (zero for t <= 0) solves d_t + v.grad_x - lap_v and is normalized to unit
-mass in (x,v) for every t > 0.  Everything is evaluated in log-space first;
-t^{-2d} exp(-c/t^3) underflows very early otherwise.  `gamma` broadcasts its
-arguments and allocates one full-size array, so callers pass per-axis
-factors (as `adjoint_identity_check` does) rather than flattened grids.
+mass in (x,v) for every t > 0; d is the length of x's last axis.
+Everything is evaluated in log-space first; t^{-2d} exp(-c/t^3) underflows
+very early otherwise.  `gamma` broadcasts its arguments and allocates one
+full-size array, so callers pass per-axis factors (as
+`adjoint_identity_check` does) rather than flattened grids.
 
 The group convolution is a midpoint-quadrature sum over the input lattice.
 The (t-s)w shear breaks ordinary convolution structure, so there is no FFT;
@@ -40,21 +41,18 @@ def _log_gamma1(x, v, d):
     return 0.5 * d * math.log(3.0 / (4.0 * math.pi ** 2)) - q
 
 
-def gamma1(x, v, d=None):
+def gamma1(x, v):
     """Unit-time profile: gamma(t,x,v) = t^{-2d} gamma1(t^{-3/2}x, t^{-1/2}v)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if d is None:
-        d = x.shape[-1]
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    return np.exp(_log_gamma1(x, v, d))
+    return np.exp(_log_gamma1(x, v, x.shape[-1]))
 
 
-def gamma(t, x, v, d=None):
+def gamma(t, x, v):
     """Fundamental solution; vectorized over broadcastable (t, x, v)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if d is None:
-        d = x.shape[-1]
+    d = x.shape[-1]
     t = np.asarray(t, dtype=float)
     tpos = np.where(t > 0.0, t, 1.0)  # placeholder where masked out
     # one full-size temporary q and its reduction s; the terms that depend
@@ -120,13 +118,13 @@ def _interp_weights(axis, c):
     return w * inside[..., None], inside
 
 
-def kin_convolve(f, g, out_axes=None):
+def kin_convolve(f, g):
     """Group convolution (f *_kin g)(z) = int f(zeta^{-1} o z) g(zeta) d zeta.
 
-    Midpoint quadrature over g's lattice; f is read off-lattice by the
-    multilinear interpolation of GridFunction.sample and treated as 0
-    outside its box, with the truncated |g|-mass recorded.  Returns a
-    ConvolutionResult.
+    Evaluated on f's lattice by midpoint quadrature over g's lattice; f is
+    read off-lattice by the multilinear interpolation of GridFunction.sample
+    and treated as 0 outside its box, with the truncated |g|-mass recorded.
+    Returns a ConvolutionResult.
 
     For output point (t, x, v) and input cell (s, y, w) f is read at
     (t - s, x - y - (t - s) w, v - w).  Each coordinate moves along its own
@@ -139,12 +137,10 @@ def kin_convolve(f, g, out_axes=None):
     it, ix, iv = _split_point(g)
     if f.roles() != g.roles():
         raise ValueError("f and g must share the axis layout")
-    if out_axes is None:
-        out_axes = f.axes
-    out = GridFunction(out_axes)
+    out = GridFunction(f.axes)
     d = len(ix)
-    fa, ga, oa = f.axes, g.axes, out.axes
-    t_out, s_in = oa[it].centers(), ga[it].centers()
+    fa, ga = f.axes, g.axes
+    t_out, s_in = fa[it].centers(), ga[it].centers()
 
     # einsum labels of dimension k: output x, input y, input w, f's x cell,
     # output v, f's v cell
@@ -154,20 +150,20 @@ def kin_convolve(f, g, out_axes=None):
     def labels(xs, vs):
         return [xs[ix.index(i)] if i in ix else vs[iv.index(i)] for i in rest]
 
-    x_out = [oa[i].centers() for i in ix]
+    x_out = [fa[i].centers() for i in ix]
     y_in = [ga[i].centers() for i in ix]
     w_in = [ga[i].centers() for i in iv]
-    v_tabs = [_interp_weights(fa[iv[k]], oa[iv[k]].centers()[:, None] - w_in[k][None, :])
+    v_tabs = [_interp_weights(fa[iv[k]], fa[iv[k]].centers()[:, None] - w_in[k][None, :])
               for k in range(d)]
     v_kept = [inside.sum(axis=0) for _, inside in v_tabs]
     t_lo, t_hi, t_frac, t_in = _stencil(fa[it], t_out[:, None] - s_in[None, :])
-    per_t = math.prod(oa[i].n for i in rest)  # output points per time slice
+    per_t = math.prod(fa[i].n for i in rest)  # output points per time slice
     pairs = out.values.size * g.values.size
     path = None
 
     trunc = 0.0
     out_slabs = np.moveaxis(out.values, it, 0)
-    for a in range(oa[it].n):
+    for a in range(fa[it].n):
         slab = np.zeros(out_slabs.shape[1:])
         for b in range(ga[it].n):
             gb = np.take(g.values, b, axis=it)
@@ -405,25 +401,25 @@ class AdjointReport:
     band_width: float
 
 
-def adjoint_identity_check(bump, n_quad=(40, 72, 48), band_cells=3):
+_BAND_CELLS = 3   # s-cells next to s = t that the adjoint check adds analytically
+
+
+def adjoint_identity_check(bump, n_quad=(40, 72, 48)):
     """Verify that the backward kernel convolved with (d_t + v.grad_x + lap_v) phi
     reproduces -phi.
 
     The s-integral near s = t is below quadrature resolution (the kernel
     concentrates at scale (s-t)^{3/2} in x); that band contributes
     delta * (transport+lap phi)(z) + O(delta^{3/2}) by unit mass of the kernel,
-    and is added analytically with delta = (band_cells - 1/2) * ds, so
-    band_cells must be at least 1.  The quadrature over the remaining cells
-    evaluates the kernel once per output point, on broadcast per-axis
-    factors: tau per s row, the sheared position per (s, y) and the
-    velocity per w.
+    and is added analytically with delta = (_BAND_CELLS - 1/2) * ds.  The
+    quadrature over the remaining cells evaluates the kernel once per output
+    point, on broadcast per-axis factors: tau per s row, the sheared
+    position per (s, y) and the velocity per w.
     Returns the relative error over output points in the early part of the
     bump's support; the error must decrease under quadrature refinement.
     """
     if len(bump.centers) != 3:
         raise NotImplementedError("quadrature implemented at d=1 desk scale")
-    if band_cells < 1:
-        raise ValueError("band_cells must be at least 1")
     lo, hi = bump.support_box()
     blo, bhi = lo - 1e-9, hi + 1e-9
     nt, nx, nv = n_quad
@@ -445,7 +441,7 @@ def adjoint_identity_check(bump, n_quad=(40, 72, 48), band_cells=3):
     v_sel = np.linspace(lo[2] + 0.3 * (hi[2] - lo[2]), hi[2] - 0.3 * (hi[2] - lo[2]), 3)
     pts = [(t, x, v) for t in t_sel for x in x_sel for v in v_sel]
 
-    delta = (band_cells - 0.5) * ds
+    delta = (_BAND_CELLS - 0.5) * ds
     lhs = np.zeros(len(pts))
     phi_vals = np.zeros(len(pts))
     for i, (t, x, v) in enumerate(pts):
@@ -453,7 +449,7 @@ def adjoint_identity_check(bump, n_quad=(40, 72, 48), band_cells=3):
         # rows of cells fully above the analytic band: a suffix in t
         j = tau.size - np.count_nonzero(tau >= delta)
         tj = tau[j:, None, None]
-        g = gamma(tj, ((xs[:, None] - x) - tj * v)[..., None], (vs - v)[:, None], 1)
+        g = gamma(tj, ((xs[:, None] - x) - tj * v)[..., None], (vs - v)[:, None])
         g *= K[j:]
         # the kept cells in C order: the same 1-D sum as over a flattened grid
         lhs[i] = float(g[keep[j:]].sum()) * vol

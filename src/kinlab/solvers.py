@@ -14,12 +14,14 @@ Elliptic and parabolic problems are Dirichlet on the whole boundary of the
 box; kinetic problems are periodic in x and Dirichlet 0 in v.  Dirichlet
 data is imposed at ghost cell centers half a cell outside the box, which
 keeps the stencil symmetric and exact on quadratic polynomials.  Both are
-solved by conjugate gradients preconditioned by one symmetric multigrid
-V-cycle, built once per solve: coarse levels are the same operator on
-lattices of ceil(n/2) cells per axis, with injection and its scaled
-transpose as transfers, damped Jacobi smoothing and an exact solve on the
-coarsest level.  Solver and V-cycle work in preallocated buffers, so an
-iteration allocates no array, and call no BLAS routine: every inner
+solved to relative residual _TOL by conjugate gradients preconditioned by
+one symmetric multigrid V-cycle, built once per solve: coarse levels are
+the same operator on lattices of ceil(n/2) cells per axis, with injection
+and its scaled transpose as transfers, damped Jacobi smoothing and an exact
+solve on the coarsest level.  Operator and V-cycle are built with
+floating-point errors raised, so a lattice whose h^2 is 0 or inf is a
+SolverError at once.  Solver and V-cycle work in preallocated buffers, so
+an iteration allocates no array, and call no BLAS routine: every inner
 product and norm is a pairwise `.sum()`.  The operator takes each
 neighbour difference as one contiguous pass at a fixed flat shift.
 
@@ -30,6 +32,7 @@ implicit diffusion-drift solve in v, batched over x by a Thomas sweep.  The
 shift's gather indices and weights and the sweep's factor depend only on
 the problem and dt, so they are computed once per solve; each step then
 sweeps a v-major (Nv, Nx) buffer row by row, all x columns at once.
+Both time-dependent solvers store every time step in info["history"].
 """
 
 import inspect
@@ -73,11 +76,11 @@ def _rotation(theta):
 class CoefficientField:
     """Symmetric-matrix field with eigenvalues in [lam, Lam].
 
-    kind selects the evaluation rule; params holds the tiling box, tile
-    count, and the per-tile random table for the random kind.  sample(points)
-    maps (..., dp) point arrays to (..., dm, dm) matrices, where dm is the
-    matrix dimension (dm = dp unless overridden, e.g. scalar diffusion in v
-    varying over (x, v) pairs).
+    kind selects the evaluation rule; params holds the tile count of the
+    tiling of [-1, 1]^dp and the per-tile random tables of the random kind.
+    sample(points) maps (..., dp) point arrays to (..., dm, dm) matrices,
+    where dm is the matrix dimension (dm = dp unless overridden, e.g. scalar
+    diffusion in v varying over (x, v) pairs).
     """
     kind: str
     lam: float
@@ -86,17 +89,12 @@ class CoefficientField:
     params: dict = field(default_factory=dict)
 
     def _tile_index(self, pts):
-        box = self.params.get("box")
+        """Per point axis, the tile index of each point in [-1, 1]^dp."""
         tiles = int(self.params.get("tiles", 8))
-        dp = pts.shape[-1]
-        if box is None:
-            box = [(-1.0, 1.0)] * dp
-        idx = []
-        for k in range(dp):
-            lo, hi = box[k]
-            u = (pts[..., k] - lo) / (hi - lo)
-            idx.append(np.clip(np.floor(u * tiles).astype(int), 0, tiles - 1))
-        return idx, tiles
+        # clip, then cast: a coordinate past the int64 range would otherwise
+        # cast to an arbitrary tile
+        idx = np.clip(np.floor((pts + 1.0) / 2.0 * tiles), 0, tiles - 1).astype(int)
+        return np.moveaxis(idx, -1, 0), tiles
 
     def sample(self, points):
         pts = np.asarray(points, dtype=float)
@@ -144,7 +142,7 @@ def make_coefficients(spec, seed=0):
     """Build a CoefficientField from a plain dict spec.
 
     Keys: kind, lam, Lam, d (matrix dimension, default point dimension at
-    sampling time = required for random kind), tiles, box.
+    sampling time = required for random kind), tiles, point_dim.
     """
     kind = spec["kind"]
     if kind not in _FIELD_KINDS:
@@ -154,7 +152,7 @@ def make_coefficients(spec, seed=0):
     if not (0 < lam <= Lam):
         raise ValueError("need 0 < lam <= Lam")
     dm = int(spec.get("d", 1))
-    params = {k: spec[k] for k in ("tiles", "box") if k in spec}
+    params = {"tiles": spec["tiles"]} if "tiles" in spec else {}
     if kind == "random-piecewise-constant":
         tiles = int(spec.get("tiles", 8))
         dp = int(spec.get("point_dim", dm))
@@ -478,7 +476,23 @@ def _spd_inverse(a):
     return 0.5 * (inv + inv.T)
 
 
-def _pcg(apply_op, rhs, precond, tol=1e-10, max_iter=20000, shift=0.0, x0=None):
+_TOL = 1e-10     # the relative residual at which conjugate gradients stop
+
+
+def _build(P, shift=0.0):
+    """The operator of P, its Dirichlet right side and the V-cycle for
+    shift I + L, built under _pcg's error policy extended to division and
+    invalid operations: the first non-finite value raises SolverError."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            op = _DiffusionOperator(P.axes, P.coefficients, P.boundary)
+            return op, op.boundary_rhs(), _VCycle(op, P.coefficients, shift)
+    except FloatingPointError as exc:
+        raise SolverError(f"building the operator hit a non-finite value "
+                          f"({exc})") from None
+
+
+def _pcg(apply_op, rhs, precond, tol=_TOL, max_iter=20000, shift=0.0, x0=None):
     """Preconditioned conjugate gradients for (shift I + L) u = rhs.
 
     apply_op(p, out=...) writes L p into out, and precond(r, out) writes
@@ -551,15 +565,15 @@ def _cg(apply_op, rhs, precond, tol, max_iter, shift, x0, history):
 # Elliptic and parabolic solves
 # ---------------------------------------------------------------------------
 
-def solve_elliptic(P, tol=1e-10):
+def solve_elliptic(P):
     if P.kind != "elliptic":
         raise ValueError("expected an elliptic problem")
-    op = _DiffusionOperator(P.axes, P.coefficients, P.boundary)
+    op, brhs, precond = _build(P)
     pts = _cell_points(P.axes)
-    rhs = P.source_at(0.0, pts) + op.boundary_rhs()
-    u, history = _pcg(op.apply, rhs, _VCycle(op, P.coefficients), tol=tol)
+    rhs = P.source_at(0.0, pts) + brhs
+    u, history = _pcg(op.apply, rhs, precond)
     info = {"iterations": len(history), "residual_history": history,
-            "tol": tol}
+            "tol": _TOL}
     if P.source_free:
         info["max_principle"] = _max_principle(*op.boundary_extremes(), u)
     return Solution(GridFunction(P.axes, u), info)
@@ -572,25 +586,15 @@ def _max_principle(lo, hi, u):
             "ok": bool(u.min() >= lo - 1e-9 and u.max() <= hi + 1e-9)}
 
 
-def _check_store_every(store_every):
-    if (isinstance(store_every, bool)
-            or not isinstance(store_every, (int, np.integer))
-            or store_every < 1):
-        raise ValueError(f"store_every must be an int >= 1, got {store_every!r}")
-
-
-def solve_parabolic(P, tol=1e-10, store_every=1):
+def solve_parabolic(P):
     if P.kind != "parabolic":
         raise ValueError("expected a parabolic problem")
     if P.nt < 1 or P.t_final <= 0:
         raise ValueError("need nt >= 1 and t_final > 0")
-    _check_store_every(store_every)
-    op = _DiffusionOperator(P.axes, P.coefficients, P.boundary)
-    pts = _cell_points(P.axes)
     dt = P.t_final / P.nt
+    op, brhs, precond = _build(P, shift=1.0 / dt)
+    pts = _cell_points(P.axes)
     u = _eval(P.initial, pts)
-    precond = _VCycle(op, P.coefficients, shift=1.0 / dt)
-    brhs = op.boundary_rhs()
     source = _source_in_time(P, pts)
     iters = []
     energy = [float((u * u).sum())]
@@ -600,12 +604,11 @@ def solve_parabolic(P, tol=1e-10, store_every=1):
         t_new = (n + 1) * dt
         rhs = u / dt + source(t_new) + brhs
         # from the last step's solution: one iteration fewer than from 0
-        u, h = _pcg(op.apply, rhs, precond, tol=tol, shift=1.0 / dt, x0=u)
+        u, h = _pcg(op.apply, rhs, precond, shift=1.0 / dt, x0=u)
         iters.append(len(h))
         energy.append(float((u * u).sum()))
-        if (n + 1) % store_every == 0 or n == P.nt - 1:
-            history.append(u.copy())
-            times.append(t_new)
+        history.append(u.copy())
+        times.append(t_new)
     info = {"dt": dt, "iterations": iters, "energy": energy,
             "times": times, "history": history}
     if P.source_free:
@@ -693,7 +696,7 @@ def _thomas_sweep(lower, c, den, d, tmp):
         np.subtract(row, tmp, out=row)
 
 
-def solve_kinetic_fp(P, store_every=1):
+def solve_kinetic_fp(P):
     """Split-step kinetic solve: exact x-transport, implicit v-diffusion.
 
     Axes must be (x periodic, v); Dirichlet 0 at the v boundary.  Mass is
@@ -710,7 +713,6 @@ def solve_kinetic_fp(P, store_every=1):
         raise ValueError("kinetic axes must be (x, v) at d = 1")
     if P.nt < 1 or P.t_final <= 0:
         raise ValueError("need nt >= 1 and t_final > 0")
-    _check_store_every(store_every)
     x_axis, v_axis = P.axes
     pts = _cell_points(P.axes)
     dt = P.t_final / P.nt
@@ -735,9 +737,8 @@ def solve_kinetic_fp(P, store_every=1):
         _thomas_sweep(lower, c, den, rows, tmp)
         f = buf.T.copy()
         mass.append(float(f.sum()) * x_axis.h * v_axis.h)
-        if (n + 1) % store_every == 0 or n == P.nt - 1:
-            history.append(f)
-            times.append(t_new)
+        history.append(f)
+        times.append(t_new)
     info = {"dt": dt, "mass": mass, "times": times, "history": history,
             "mass_drift": mass[-1] - mass[0]}
     if P.source_free:

@@ -27,7 +27,7 @@ def test_criterion_01_kernel_normalization():
     x, wx = _leggauss_nodes(200, 8.0)
     X, V = np.meshgrid(x, x, indexing="ij")
     W = np.outer(wx, wx)
-    m1 = float((ker.gamma1(X[..., None], V[..., None], d=1) * W).sum())
+    m1 = float((ker.gamma1(X[..., None], V[..., None]) * W).sum())
     err1 = abs(m1 + ker.gamma_tail_mass(8.0, 1) - 1.0)
 
     # d = 2: tensor quadrature on [-8, 8]^4
@@ -37,7 +37,7 @@ def test_criterion_01_kernel_normalization():
     pts_v = np.stack([V1, V2], axis=-1)
     W4 = wy[:, None, None, None] * wy[None, :, None, None] * \
         wy[None, None, :, None] * wy[None, None, None, :]
-    m2 = float((ker.gamma1(pts_x, pts_v, d=2) * W4).sum())
+    m2 = float((ker.gamma1(pts_x, pts_v) * W4).sum())
     err2 = abs(m2 + ker.gamma_tail_mass(8.0, 2) - 1.0)
 
     _report(1, "kernel unit mass", err1 < 1e-8 and err2 < 1e-4,
@@ -52,7 +52,7 @@ def test_criterion_02_kolmogorov_residual_order():
                 Axis("x", -3.0, 3.0, round(6.0 / h)),
                 Axis("v", -3.0, 3.0, round(6.0 / h))]
         T, X, V = np.meshgrid(*[a.centers() for a in axes], indexing="ij")
-        g = GridFunction(axes, ker.gamma(T, X[..., None], V[..., None], d=1))
+        g = GridFunction(axes, ker.gamma(T, X[..., None], V[..., None]))
         reps.append(ker.kolmogorov_residual(g))
     order = ker.residual_convergence_order(reps, hs)
     _report(2, "residual convergence order >= 1.8", order >= 1.8,
@@ -196,8 +196,8 @@ def test_criterion_09_ink_spots():
     for i in range(50):
         m = int(rng.choice([1, 2, 4]))
         E, F = cov.synthesize_ink_spots_instance("kinetic", m, 1.0, rng,
-                                                 cells_per_unit=48, stride=2)
-        rep = cov.ink_spots_check(E, F, "kinetic", m, 1.0, stride=2)
+                                                 cells_per_unit=48)
+        rep = cov.ink_spots_check(E, F, "kinetic", m, 1.0)
         bad += int(not (rep.hypothesis_ok and rep.passed))
     _report(9, "ink-spots inequality on 100 instances", bad == 0,
             f"({bad} failing instances)")
@@ -207,8 +207,8 @@ def test_criterion_10_kernel_evolution():
     t0, T = 0.2, 0.05
     axes = [Axis("x", -0.35, 0.35, 128), Axis("v", -3.0, 3.0, 128)]
     X, V = np.meshgrid(axes[0].centers(), axes[1].centers(), indexing="ij")
-    f0 = ker.gamma(t0, X[..., None], V[..., None], d=1)
-    exact = ker.gamma(t0 + T, X[..., None], V[..., None], d=1)
+    f0 = ker.gamma(t0, X[..., None], V[..., None])
+    exact = ker.gamma(t0 + T, X[..., None], V[..., None])
     errs = []
     for nt in (2, 4, 8):
         P = sv.Problem(kind="kinetic-fp", axes=axes,
@@ -231,7 +231,7 @@ def _holder_alpha(n, coef_spec, coef_seed, boundary):
     P = sv.Problem(kind="elliptic", axes=axes, coefficients=coef,
                    boundary=boundary, source=0.0)
     sol = sv.solve_elliptic(P)
-    prof = dg.oscillation_profile(sol.u, (0.0, 0.0), k_max=6, r0=1.0)
+    prof = dg.oscillation_profile(sol.u, (0.0, 0.0), k_max=6)
     mono = all(a >= b - 1e-12 for a, b in
                zip(prof.oscillations, prof.oscillations[1:]))
     return prof.alpha, mono
@@ -347,7 +347,7 @@ def test_criterion_13_young_and_weak_lp():
     for n in (24, 48, 96):
         ax = [Axis("t", 0, 0.5, n), Axis("x", -2, 2, n), Axis("v", -2, 2, n)]
         T, X, V = np.meshgrid(*[a.centers() for a in ax], indexing="ij")
-        g = GridFunction(ax, ker.gamma(T, X[..., None], V[..., None], d=1))
+        g = GridFunction(ax, ker.gamma(T, X[..., None], V[..., None]))
         weak_vals.append(ker.weak_lp_norm(g, p_star).value)
         strong_vals.append(g.norm_lp(p_star))
     stable = max(weak_vals) <= 1.25 * min(weak_vals)

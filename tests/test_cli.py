@@ -301,18 +301,26 @@ def test_holder_scan_constant_sentinel_and_jobs(tmp_path):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("cfg", [{"Lam": 1e300}, {"box": 1e-100}],
-                         ids=["huge-Lam", "tiny-box"])
-def test_holder_scan_solver_error_is_a_failed_instance(tmp_path, cfg, jobs):
-    # in range, but conjugate gradients meet a non-finite residual
+@pytest.mark.parametrize("cfg, error", [
+    ({"Lam": 1e300}, "non-finite residual"),
+    ({"box": 1e-100}, "non-finite residual"),
+    # h^2 is inf, and 0: the operator itself is not finite
+    ({"box": 1e200}, "building the operator hit a non-finite value"),
+    ({"box": 1e-200}, "building the operator hit a non-finite value"),
+], ids=["huge-Lam", "tiny-box", "h2-inf", "h2-zero"])
+def test_holder_scan_solver_error_is_a_failed_instance(tmp_path, capsys, cfg,
+                                                      error, jobs):
+    # in range, but the solve meets a non-finite value: no warning, and the
+    # instance is a failed record
     code, report, outdir = _run(tmp_path, "holder-scan",
                                 {"seed": 0, "n": 16, "instances": 2, **cfg},
                                 jobs=jobs)
     assert code == 2 and not report["passed"]
+    assert capsys.readouterr().err == ""
     assert [r["check"] for r in report["records"]] == ["instance_0", "instance_1"]
     for rec in report["records"]:
         assert set(rec) == {"check", "passed", "error"} and not rec["passed"]
-        assert "non-finite residual" in rec["error"]
+        assert error in rec["error"]
     assert (outdir / "alphas.csv").read_text() == \
         "index,alpha,constant,fit_residual,monotone\n"
 

@@ -180,6 +180,18 @@ def test_ink_spots_parabolic_instance():
     assert rep.passed, (rep.measure_E, rep.rhs)
 
 
+@pytest.mark.parametrize("geometry, cells, stride",
+                         [("kinetic", 48, 2), ("parabolic", 96, 1)])
+def test_ink_spots_instance_passes_at_the_lab_lattices(geometry, cells, stride):
+    # synthesis and check both take the geometry's anchor stride
+    rng = np.random.default_rng(5)
+    E, F = cov.synthesize_ink_spots_instance(geometry, 1, 1.0, rng,
+                                             cells_per_unit=cells)
+    rep = cov.ink_spots_check(E, F, geometry, 1, 1.0)
+    assert rep.family["anchor_stride"] == stride
+    assert rep.hypothesis_ok and rep.passed and rep.family["flagged"] > 0
+
+
 def test_ink_spots_rejects_e_not_in_f():
     axes = [Axis("t", -1, 0.5, 32), Axis("x", -2, 2, 32)]
     E = cov.RasterMask(axes, np.ones((32, 32), bool))
@@ -355,7 +367,7 @@ def _assert_hot_admissible(E, geometry, stride, violations):
 def test_hot_anchors_match_the_full_lattice_formula(geometry, cells, stride):
     rng = np.random.default_rng(4)
     E, _ = cov.synthesize_ink_spots_instance(geometry, 2, 1.0, rng,
-                                             cells_per_unit=cells, stride=stride)
+                                             cells_per_unit=cells)
     radii = cov._dyadic_radii(E, geometry)
     assert len(radii) >= 2
     found = 0
@@ -379,8 +391,9 @@ def test_hot_anchors_match_the_full_lattice_formula(geometry, cells, stride):
 def test_ink_spots_reports_stack_outside_f(geometry, cells, stride):
     rng = np.random.default_rng(1)
     E, _ = cov.synthesize_ink_spots_instance(geometry, 1, 1.0, rng,
-                                             cells_per_unit=cells, stride=stride)
-    rep = cov.ink_spots_check(E, E, geometry, 1, 1.0, stride=stride)
+                                             cells_per_unit=cells)
+    rep = cov.ink_spots_check(E, E, geometry, 1, 1.0)
+    assert rep.family["anchor_stride"] == stride
     assert not rep.hypothesis_ok and not rep.passed
     assert rep.violations
     assert all(v["reason"] == "stacked cylinder not inside F" for v in rep.violations)
@@ -391,8 +404,9 @@ def test_ink_spots_reports_stack_outside_f(geometry, cells, stride):
 def test_ink_spots_reports_large_half_filled_cylinder(geometry, cells, stride):
     rng = np.random.default_rng(1)
     E, F = cov.synthesize_ink_spots_instance(geometry, 1, 1.0, rng,
-                                             cells_per_unit=cells, stride=stride)
-    rep = cov.ink_spots_check(E, F, geometry, 1, 0.5, stride=stride)
+                                             cells_per_unit=cells)
+    rep = cov.ink_spots_check(E, F, geometry, 1, 0.5)
+    assert rep.family["anchor_stride"] == stride
     assert not rep.hypothesis_ok and not rep.passed
     large = [v for v in rep.violations
              if v["reason"] == "half-filled cylinder with r >= r0"]

@@ -70,8 +70,7 @@ def test_iterate_lemma_validation():
 def test_oscillation_alpha_one_for_linear():
     axes = _axes2(176)
     X, _ = np.meshgrid(*[a.centers() for a in axes], indexing="ij")
-    prof = dg.oscillation_profile(GridFunction(axes, X), (0.0, 0.0),
-                                  k_max=6, r0=1.0)
+    prof = dg.oscillation_profile(GridFunction(axes, X), (0.0, 0.0), k_max=6)
     assert 0.95 <= prof.alpha <= 1.05
     assert all(a >= b - 1e-12 for a, b in
                zip(prof.oscillations, prof.oscillations[1:]))
@@ -161,7 +160,7 @@ def test_harnack_rejects_nonpositive():
 def test_expansion_experiment_filters_hypothesis():
     big, _ = _kinetic_solution(scale=3.0)
     small, _ = _kinetic_solution()
-    out = dg.expansion_experiment([big, small], eta0=0.5)
+    out = dg.expansion_experiment([big, small])
     assert out["admitted"] == 1 and out["excluded"] == 1
     assert out["ell_hat"] > 0
 
