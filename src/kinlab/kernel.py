@@ -18,6 +18,10 @@ instead the sample point of each (output, input) pair moves along every
 axis separately, and the interpolation weights factor into a separable
 stencil: a time blend per (t, s) pair, a velocity table per (v, w) pair and
 a 1-D interpolation in x at x - y - (t-s)w.
+
+The residual of the evolution operator streams h by axis-0 slabs, three
+held at a time, and sums its L2 norm in numpy's pairwise order over the
+whole interior: the bits of one np.sum over a full residual array.
 """
 
 import math
@@ -88,8 +92,8 @@ def gamma_tail_mass(L, d=1):
 # Group convolution
 # ---------------------------------------------------------------------------
 
-def _split_point(gf):
-    roles = gf.roles()
+def _split_point(axes):
+    roles = [a.role for a in axes]
     it = [i for i, r in enumerate(roles) if r == "t"]
     ix = [i for i, r in enumerate(roles) if r == "x"]
     iv = [i for i, r in enumerate(roles) if r == "v"]
@@ -134,7 +138,7 @@ def kin_convolve(f, g):
     x - y - (t - s) w.  The sum over g's cells is one tensor contraction
     per (t, s) pair.
     """
-    it, ix, iv = _split_point(g)
+    it, ix, iv = _split_point(g.axes)
     if f.roles() != g.roles():
         raise ValueError("f and g must share the axis layout")
     out = GridFunction(f.axes)
@@ -260,55 +264,92 @@ class ResidualReport:
     mesh: tuple
 
 
-def kolmogorov_residual(h):
+def _pairwise_sum(n, leaf, take):
+    """np.sum of n float64 values, in its pairwise tree, from leaf sums.
+
+    np.sum of a contiguous array splits more than 128 values at
+    n//2 - (n//2 % 8) and sums each part alike, so nodes of at most
+    max(leaf, 128) values can be `take(m)`: np.sum of the next m values.
+    """
+    if n <= max(leaf, 128):
+        return take(n)
+    n2 = n // 2 - (n // 2) % 8
+    return _pairwise_sum(n2, leaf, take) + _pairwise_sum(n - n2, leaf, take)
+
+
+def kolmogorov_residual(axes, slabs):
     """Central-difference residual d_t h + v . grad_x h - lap_v h.
 
-    Evaluated on interior cells (one-cell margin per axis); reports the max
-    and L2 norms.  For h sampled from gamma on t bounded away from 0 the
-    residual converges at second order in the mesh.
+    `slabs` yields h's axis-0 slabs in order (an array of h's values will
+    do); three are held at a time.  Evaluated on interior cells (one-cell
+    margin per axis); reports the max and the L2 norm, summed slab by slab
+    in one np.sum's order (`_pairwise_sum`).  For h sampled from gamma on t
+    bounded away from 0 the residual converges at second order in the mesh.
     """
-    it, ix, iv = _split_point(h)
-    axes = h.axes
-    cents = h.centers()
-    res = np.empty(tuple(a.n - 2 for a in axes))
-    core = tuple(slice(1, -1) for _ in axes)
-    buf = np.empty((1,) + res.shape[1:])
+    it, ix, iv = _split_point(axes)
+    for k, a in enumerate(axes):
+        if a.n < 3:
+            raise ValueError(f"the residual needs at least 3 cells on axis {k}, got {a.n}")
+    cents = [a.centers() for a in axes]
+    core = tuple(slice(1, -1) for _ in axes[1:])
+    out = np.empty(tuple(a.n - 2 for a in axes[1:]))
+    buf = np.empty_like(out)
+    peaks = []
 
-    def shifted(vals, axis, step):
+    def shifted(win, axis, step):
+        if axis == 0:
+            return win[1 + step][core]
         sl = list(core)
-        sl[axis] = slice(1 + step, vals.shape[axis] - 1 + step)
-        return vals[tuple(sl)]
+        sl[axis - 1] = slice(1 + step, axes[axis].n - 1 + step)
+        return win[1][tuple(sl)]
 
-    peaks = np.empty(res.shape[0])
-    # one slab of axis 0 at a time, written in place through one scratch
-    # buffer: (f+ - f-)/(2h) in t, + v (f+ - f-)/(2h) in each x and
-    # - ((f+ - 2f) + f-)/h^2 in each v, in that order; then the slab's
-    # peak of |res|, and res^2 in place for the L2 sum
-    for i in range(res.shape[0]):
-        vals = h.values[i:i + 3]
-        out = res[i:i + 1]
-        np.subtract(shifted(vals, it, 1), shifted(vals, it, -1), out=out)
-        np.divide(out, 2 * axes[it].h, out=out)
-        for axx, axv in zip(ix, iv):
-            shape = [1] * vals.ndim
-            shape[axv] = -1
-            v = (cents[axv][i:i + 3] if axv == 0 else cents[axv])[1:-1]
-            np.subtract(shifted(vals, axx, 1), shifted(vals, axx, -1), out=buf)
-            np.divide(buf, 2 * axes[axx].h, out=buf)
-            np.multiply(v.reshape(shape), buf, out=buf)
-            np.add(out, buf, out=out)
-            np.multiply(2, vals[core], out=buf)
-            np.subtract(shifted(vals, axv, 1), buf, out=buf)
-            np.add(buf, shifted(vals, axv, -1), out=buf)
-            np.divide(buf, axes[axv].h ** 2, out=buf)
-            np.subtract(out, buf, out=out)
-        np.abs(out, out=out)
-        peaks[i] = out.max()
-        np.square(out, out=out)
-    # one sum over the contiguous array, not per slab: numpy's pairwise order,
-    # so the L2 norm is bit-for-bit that of (res ** 2).sum()
-    return ResidualReport(float(peaks.max()),
-                          float(np.sqrt(res.sum() * h.cell_volume)),
+    def squares():
+        # one interior slab at a time, written in place through one scratch
+        # buffer: (f+ - f-)/(2h) in t, + v (f+ - f-)/(2h) in each x and
+        # - ((f+ - 2f) + f-)/h^2 in each v, in that order; then the slab's
+        # peak of |res|, and res^2 in place for the L2 sum
+        stream = iter(slabs)
+        win = (None, next(stream), next(stream))
+        for i, nxt in enumerate(stream, 1):
+            win = win[1:] + (nxt,)
+            np.subtract(shifted(win, it, 1), shifted(win, it, -1), out=out)
+            np.divide(out, 2 * axes[it].h, out=out)
+            for axx, axv in zip(ix, iv):
+                v = (cents[0][i] if axv == 0 else
+                     cents[axv][1:-1].reshape((-1,) + (1,) * (out.ndim - axv)))
+                np.subtract(shifted(win, axx, 1), shifted(win, axx, -1), out=buf)
+                np.divide(buf, 2 * axes[axx].h, out=buf)
+                np.multiply(v, buf, out=buf)
+                np.add(out, buf, out=out)
+                np.multiply(2, win[1][core], out=buf)
+                np.subtract(shifted(win, axv, 1), buf, out=buf)
+                np.add(buf, shifted(win, axv, -1), out=buf)
+                np.divide(buf, axes[axv].h ** 2, out=buf)
+                np.subtract(out, buf, out=out)
+            np.abs(out, out=out)
+            peaks.append(out.max())
+            np.square(out, out=out)
+            yield out.ravel()
+
+    chunks, rest = squares(), np.empty(0)
+
+    def take(n):
+        # the next n squares; `out` is rewritten by the next slab, so a run
+        # that crosses slabs is copied together first
+        nonlocal rest
+        parts = []
+        while rest.size < n:
+            if rest.size:
+                parts.append(rest.copy())
+                n -= rest.size
+            rest = next(chunks)
+        parts.append(rest[:n])
+        rest = rest[n:]
+        return np.sum(np.concatenate(parts) if len(parts) > 1 else parts[0])
+
+    total = _pairwise_sum((axes[0].n - 2) * out.size, out.size, take)
+    return ResidualReport(float(np.max(peaks)),
+                          float(np.sqrt(total * math.prod(a.h for a in axes))),
                           tuple(a.n for a in axes))
 
 

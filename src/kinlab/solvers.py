@@ -64,6 +64,7 @@ class SolverError(RuntimeError):
 
 _FIELD_KINDS = ("identity", "checkerboard", "random-piecewise-constant",
                 "rotating-anisotropy")
+_SPEC_KEYS = {"kind", "lam", "Lam", "d", "tiles", "point_dim"}
 
 
 def _rotation(theta):
@@ -142,8 +143,12 @@ def make_coefficients(spec, seed=0):
     """Build a CoefficientField from a plain dict spec.
 
     Keys: kind, lam, Lam, d (matrix dimension, default point dimension at
-    sampling time = required for random kind), tiles, point_dim.
+    sampling time = required for random kind), tiles, point_dim; any other
+    key is a ValueError.
     """
+    unknown = sorted(set(spec) - _SPEC_KEYS)
+    if unknown:
+        raise ValueError(f"unknown coefficient spec keys {unknown}")
     kind = spec["kind"]
     if kind not in _FIELD_KINDS:
         raise ValueError(f"unknown coefficient kind {kind!r}")

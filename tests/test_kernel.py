@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,17 +40,67 @@ def test_unit_mass_quadrature():
     assert mass + ker.gamma_tail_mass(L, 1) == pytest.approx(1.0, abs=1e-7)
 
 
+def _gamma_slabs(axes):
+    # Gamma on the (t, x, v) lattice of `axes`, one t-slab at a time
+    ts, xs, vs = (a.centers() for a in axes)
+    return (ker.gamma(tk, xs[:, None, None], vs[None, :, None]) for tk in ts)
+
+
 def test_kolmogorov_residual_small_and_shrinking():
     reps = []
     for h in (0.08, 0.04):
         axes = [Axis("t", 1.0, 1.5, round(0.5 / h)),
                 Axis("x", -2.5, 2.5, round(5.0 / h)),
                 Axis("v", -2.5, 2.5, round(5.0 / h))]
-        T, X, V = np.meshgrid(*[a.centers() for a in axes], indexing="ij")
-        g = GridFunction(axes, ker.gamma(T, X[..., None], V[..., None]))
-        reps.append(ker.kolmogorov_residual(g))
+        reps.append(ker.kolmogorov_residual(axes, _gamma_slabs(axes)))
     assert reps[0].l2_residual < 0.05
     assert reps[1].l2_residual < reps[0].l2_residual / 2.5
+
+
+def test_kolmogorov_residual_streams_its_slabs():
+    # fed from a generator, the residual holds a few slabs, never a lattice;
+    # and it frees them on return, with no reference cycle left for the
+    # garbage collector (a process that calls it repeatedly would grow)
+    axes = [Axis("t", 1.0, 1.5, 50), Axis("x", -3.0, 3.0, 200), Axis("v", -3.0, 3.0, 200)]
+    slab_bytes = 200 * 200 * 8
+    gc.disable()
+    tracemalloc.start()
+    try:
+        ker.kolmogorov_residual(axes, _gamma_slabs(axes))
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak < 50 * slab_bytes / 2
+    assert left < slab_bytes
+
+
+@pytest.mark.parametrize("shape, axis", [((2, 8, 8), 0), ((8, 2, 8), 1), ((8, 8, 2), 2)])
+def test_kolmogorov_residual_rejects_a_lattice_under_3_cells(shape, axis):
+    axes = [Axis(r, 0.0, 1.0, n) for r, n in zip("txv", shape)]
+    with pytest.raises(ValueError, match=f"at least 3 cells on axis {axis}"):
+        ker.kolmogorov_residual(axes, np.ones(shape))
+
+
+def test_kolmogorov_residual_of_constant_data_at_3_cells_is_zero():
+    axes = [Axis("t", 0.0, 1.0, 8), Axis("x", 0.0, 1.0, 8), Axis("v", 0.0, 1.0, 3)]
+    rep = ker.kolmogorov_residual(axes, np.ones((8, 8, 3)))
+    assert (rep.max_residual, rep.l2_residual) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1000, 4097, 3 * 357604 + 5])
+def test_pairwise_sum_has_the_bits_of_np_sum(n):
+    a = np.random.default_rng(n).normal(size=n)
+    for leaf in (128, 1000, n):
+        pos = 0
+
+        def take(m):
+            nonlocal pos
+            pos += m
+            return np.sum(a[pos - m:pos].copy())
+
+        assert ker._pairwise_sum(n, leaf, take) == np.sum(a)
+        assert pos == n
 
 
 @given(st.floats(min_value=1.0, max_value=4.0), st.integers(min_value=0, max_value=10))
@@ -164,7 +216,7 @@ def test_kolmogorov_residual_equals_periodic_difference_reference():
             res = res + grids[axv] * diff(axx) - second(axv)
         res = res[(slice(1, -1),) * len(axes)]
         g = GridFunction(axes, vals)
-        rep = ker.kolmogorov_residual(g)
+        rep = ker.kolmogorov_residual(axes, vals)
         assert rep.max_residual == float(np.abs(res).max())
         assert rep.l2_residual == float(np.sqrt((res ** 2).sum() * g.cell_volume))
 

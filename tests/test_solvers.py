@@ -19,6 +19,14 @@ def test_make_coefficients_validation():
         sv.make_coefficients({"kind": "identity", "lam": 2.0, "Lam": 1.0})
 
 
+@pytest.mark.parametrize("key, value", [("box", [[0, 2]]), ("tile", 4)])
+def test_make_coefficients_rejects_unknown_keys(key, value):
+    # a stale or misspelt key would otherwise build the default field
+    spec = {"kind": "checkerboard", "lam": 0.5, "Lam": 1.0, key: value}
+    with pytest.raises(ValueError, match=f"unknown coefficient spec keys \\['{key}'\\]"):
+        sv.make_coefficients(spec)
+
+
 def test_coefficient_eigenvalues_within_band():
     rng = np.random.default_rng(0)
     for kind in ("checkerboard", "random-piecewise-constant",
