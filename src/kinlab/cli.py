@@ -15,12 +15,13 @@ for the wall_clock_s field.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import scipy
@@ -421,11 +422,19 @@ def _harnack_instance(i, cfg):
     return i, rep
 
 
+@functools.lru_cache(maxsize=None)
+def _harnack_pool(jobs):
+    # kept for the life of the process: a fresh worker thread per call can
+    # start before the last one has released its malloc arena, take a new
+    # arena, and hold a second copy of the working set beside the old one
+    return ThreadPoolExecutor(max_workers=jobs)
+
+
 def cmd_harnack(cfg, jobs, outdir):
     records, rows = [], []
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_harnack_instance, i, cfg)
-                   for i in range(cfg["instances"])]
+    futures = [_harnack_pool(jobs).submit(_harnack_instance, i, cfg)
+               for i in range(cfg["instances"])]
+    wait(futures)
     for i, fut in enumerate(futures):
         try:
             _, rep = fut.result()

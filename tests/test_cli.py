@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -226,6 +227,24 @@ def test_harnack_constant_profile(tmp_path):
     for rec in report["records"]:
         assert rec["quotient"] == 1.0
     assert (outdir / "quotients.csv").exists()
+
+
+def test_harnack_reuses_its_worker_thread(tmp_path, monkeypatch):
+    # a new thread per call can race the last one's exit for its malloc
+    # arena; one kept thread cannot
+    threads, instance = [], cli._harnack_instance
+
+    def recorded(i, cfg):
+        threads.append(threading.current_thread())
+        return instance(i, cfg)
+
+    monkeypatch.setattr(cli, "_harnack_instance", recorded)
+    for out in ("a", "b"):
+        code, _, _ = _run(tmp_path, "harnack", {"seed": 1, "instances": 2,
+                                                "profile": "constant"}, out=out)
+        assert code == 0
+    assert len(threads) == 4 and all(t is threads[0] for t in threads)
+    assert threads[0] is not threading.current_thread()
 
 
 def test_harnack_nonpositive_data_fails(tmp_path):
