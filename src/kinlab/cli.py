@@ -335,6 +335,15 @@ def cmd_verify_kernel(cfg, jobs, outdir):
 # holder-scan
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _pool(jobs):
+    # the worker pool of holder-scan and harnack, kept for the life of the
+    # process: a fresh worker thread per call can start before the last one
+    # has released its malloc arena, take a new arena, and hold a second
+    # copy of the working set beside the old one
+    return ThreadPoolExecutor(max_workers=jobs)
+
+
 def _holder_instance(i, cfg):
     """(i, oscillation profile) of instance i, or (i, the SolverError) when
     its solve fails."""
@@ -342,7 +351,7 @@ def _holder_instance(i, cfg):
     n, b = cfg["n"], cfg["box"]
     axes = [Axis("x", -b, b, n), Axis("x", -b, b, n)]
     spec = {"kind": cfg["coefficient"], "lam": cfg["lam"], "Lam": cfg["Lam"],
-            "tiles": cfg["tiles"], "point_dim": 2}
+            "tiles": cfg["tiles"]}
     coef = sv.make_coefficients(spec, seed=cfg["seed"] + i)
     a0, a1, a2 = rng.uniform(-1, 1, 3)
     P = sv.Problem(kind="elliptic", axes=axes, coefficients=coef,
@@ -362,8 +371,7 @@ def cmd_holder_scan(cfg, jobs, outdir):
         # which then holds a second copy of the solver's working set
         results = [_holder_instance(i, cfg) for i in instances]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda i: _holder_instance(i, cfg), instances))
+        results = list(_pool(jobs).map(lambda i: _holder_instance(i, cfg), instances))
     records, rows, warnings = [], [], []
     for i, prof in results:
         if isinstance(prof, sv.SolverError):
@@ -412,7 +420,7 @@ def _harnack_instance(i, cfg):
         vc = rng.uniform(-0.3, 0.3)
         f0 = cfg["floor"] + np.exp(-8 * (X - xc) ** 2 - 4 * (V - vc) ** 2)
         spec = {"kind": cfg["coefficient"], "lam": cfg["lam"],
-                "Lam": cfg["Lam"], "tiles": cfg["tiles"], "point_dim": 2}
+                "Lam": cfg["Lam"], "tiles": cfg["tiles"]}
         coef = sv.make_coefficients(spec, seed=cfg["seed"] + i)
         P = sv.Problem(kind="kinetic-fp", axes=axes, coefficients=coef,
                        initial=GridFunction(axes, f0), source=0.0,
@@ -422,17 +430,9 @@ def _harnack_instance(i, cfg):
     return i, rep
 
 
-@functools.lru_cache(maxsize=None)
-def _harnack_pool(jobs):
-    # kept for the life of the process: a fresh worker thread per call can
-    # start before the last one has released its malloc arena, take a new
-    # arena, and hold a second copy of the working set beside the old one
-    return ThreadPoolExecutor(max_workers=jobs)
-
-
 def cmd_harnack(cfg, jobs, outdir):
     records, rows = [], []
-    futures = [_harnack_pool(jobs).submit(_harnack_instance, i, cfg)
+    futures = [_pool(jobs).submit(_harnack_instance, i, cfg)
                for i in range(cfg["instances"])]
     wait(futures)
     for i, fut in enumerate(futures):

@@ -4,12 +4,12 @@ transport-diffusion equation
 
     d_t f + v . grad_x f = div_v(A grad_v f) + B . grad_v f + S.
 
-Coefficients are measurable symmetric-matrix fields with eigenvalues pinned
-to [lam, Lam]; no smoothness is assumed anywhere.  Spatial discretization is
-a symmetric face-flux scheme on uniform cell-centered lattices: the face
-coefficient is the arithmetic mean of the diagonal coefficient entry in the
-two adjacent cells, applied to the face-normal difference quotient; the
-elliptic, parabolic and kinetic v operators share this one rule.
+Coefficients are measurable scalar fields with values in [lam, Lam]; no
+smoothness is assumed anywhere.  Spatial discretization is a symmetric
+face-flux scheme on uniform cell-centered lattices: the face coefficient is
+the arithmetic mean of the field in the two adjacent cells, applied to the
+face-normal difference quotient; the elliptic, parabolic and kinetic v
+operators share this one rule.
 Elliptic and parabolic problems are Dirichlet on the whole boundary of the
 box; kinetic problems are periodic in x and Dirichlet 0 in v.  Dirichlet
 data is imposed at ghost cell centers half a cell outside the box, which
@@ -38,7 +38,7 @@ Both time-dependent solvers store every time step in info["history"].
 import inspect
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,87 +64,58 @@ class SolverError(RuntimeError):
 
 _FIELD_KINDS = ("identity", "checkerboard", "random-piecewise-constant",
                 "rotating-anisotropy")
-_SPEC_KEYS = {"kind", "lam", "Lam", "d", "tiles", "point_dim"}
-
-
-def _rotation(theta):
-    c, s = np.cos(theta), np.sin(theta)
-    return np.stack([np.stack([c, -s], axis=-1),
-                     np.stack([s, c], axis=-1)], axis=-2)
+_SPEC_KEYS = {"kind", "lam", "Lam", "tiles"}
 
 
 @dataclass
 class CoefficientField:
-    """Symmetric-matrix field with eigenvalues in [lam, Lam].
+    """Scalar field with values in [lam, Lam]; the identity kind is 1.
 
-    kind selects the evaluation rule; params holds the tile count of the
-    tiling of [-1, 1]^dp and the per-tile random tables of the random kind.
-    sample(points) maps (..., dp) point arrays to (..., dm, dm) matrices,
-    where dm is the matrix dimension (dm = dp unless overridden, e.g. scalar
-    diffusion in v varying over (x, v) pairs).
+    kind selects the evaluation rule; the checkerboard and random kinds are
+    constant on each of the tiles^dp tiles of [-1, 1]^dp, and the random
+    kind draws its per-tile values from seed for the dimension dp of the
+    points it samples.  sample(points) maps (..., dp) point arrays to (...)
+    value arrays.
     """
     kind: str
     lam: float
     Lam: float
-    d_mat: int
-    params: dict = field(default_factory=dict)
+    tiles: int = 8
+    seed: int = 0
 
     def _tile_index(self, pts):
         """Per point axis, the tile index of each point in [-1, 1]^dp."""
-        tiles = int(self.params.get("tiles", 8))
         # clip, then cast: a coordinate past the int64 range would otherwise
         # cast to an arbitrary tile
-        idx = np.clip(np.floor((pts + 1.0) / 2.0 * tiles), 0, tiles - 1).astype(int)
-        return np.moveaxis(idx, -1, 0), tiles
+        idx = np.clip(np.floor((pts + 1.0) / 2.0 * self.tiles), 0, self.tiles - 1)
+        return np.moveaxis(idx.astype(int), -1, 0)
 
     def sample(self, points):
         pts = np.asarray(points, dtype=float)
-        dm = self.d_mat
-        eye = np.eye(dm)
         base = pts.shape[:-1]
         if self.kind == "identity":
-            return np.broadcast_to(eye, base + (dm, dm)).copy()
+            return np.ones(base)
         if self.kind == "checkerboard":
-            idx, _ = self._tile_index(pts)
             parity = np.zeros(base, dtype=int)
-            for a in idx:
+            for a in self._tile_index(pts):
                 parity += a
-            coef = np.where(parity % 2 == 0, self.lam, self.Lam)
-            return coef[..., None, None] * eye
+            return np.where(parity % 2 == 0, self.lam, self.Lam)
         if self.kind == "random-piecewise-constant":
-            idx, tiles = self._tile_index(pts)
             flat = np.zeros(base, dtype=int)
-            for a in idx:
-                flat = flat * tiles + a
-            eigs = self.params["eig_table"][flat]          # (..., dm)
-            if dm == 1:
-                return eigs[..., None]
-            theta = self.params["theta_table"][flat]
-            R = _rotation(theta)
-            D = eigs[..., None] * np.eye(dm)
-            return R @ D @ np.swapaxes(R, -1, -2)
+            for a in self._tile_index(pts):
+                flat = flat * self.tiles + a
+            rng = np.random.default_rng(self.seed)
+            return rng.uniform(self.lam, self.Lam, self.tiles ** pts.shape[-1])[flat]
         if self.kind == "rotating-anisotropy":
-            if dm == 1:
-                u = np.sin(3.0 * pts.sum(axis=-1))
-                coef = 0.5 * (self.lam + self.Lam) + 0.5 * (self.Lam - self.lam) * u
-                return coef[..., None, None]
-            theta = np.arctan2(pts[..., 1], pts[..., 0])
-            R = _rotation(theta)
-            D = np.array([self.Lam] + [self.lam] * (dm - 1)) * np.eye(dm)
-            return R @ D @ np.swapaxes(R, -1, -2)
+            u = np.sin(3.0 * pts.sum(axis=-1))
+            return 0.5 * (self.lam + self.Lam) + 0.5 * (self.Lam - self.lam) * u
         raise ValueError(f"unknown coefficient kind {self.kind!r}")
-
-    def diag_entry(self, points, k):
-        """k-th diagonal entry of the matrix at the given points."""
-        return self.sample(points)[..., k, k]
 
 
 def make_coefficients(spec, seed=0):
     """Build a CoefficientField from a plain dict spec.
 
-    Keys: kind, lam, Lam, d (matrix dimension, default point dimension at
-    sampling time = required for random kind), tiles, point_dim; any other
-    key is a ValueError.
+    Keys: kind, lam, Lam, tiles; any other key is a ValueError.
     """
     unknown = sorted(set(spec) - _SPEC_KEYS)
     if unknown:
@@ -156,16 +127,7 @@ def make_coefficients(spec, seed=0):
     Lam = float(spec.get("Lam", 1.0))
     if not (0 < lam <= Lam):
         raise ValueError("need 0 < lam <= Lam")
-    dm = int(spec.get("d", 1))
-    params = {"tiles": spec["tiles"]} if "tiles" in spec else {}
-    if kind == "random-piecewise-constant":
-        tiles = int(spec.get("tiles", 8))
-        dp = int(spec.get("point_dim", dm))
-        rng = np.random.default_rng(seed)
-        n = tiles ** dp
-        params["eig_table"] = rng.uniform(lam, Lam, size=(n, dm))
-        params["theta_table"] = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    return CoefficientField(kind, lam, Lam, dm, params)
+    return CoefficientField(kind, lam, Lam, int(spec.get("tiles", 8)), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +233,19 @@ def _ghost_points(pts, axis, k):
     return glo, ghi
 
 
-def _faces(A, pts, axis, k, entry):
-    """The axis.n + 1 face coefficients along axis k: the mean of diagonal
-    entry `entry` of A in the two cells next to each face, the outer faces
-    taking the ghost cells as their outside neighbours."""
+def _faces(A, pts, axis, k):
+    """The axis.n + 1 face coefficients along axis k: the mean of A in the
+    two cells next to each face, the outer faces taking the ghost cells as
+    their outside neighbours."""
     glo, ghi = _ghost_points(pts, axis, k)
-    ae = np.concatenate([A.diag_entry(glo, entry), A.diag_entry(pts, entry),
-                         A.diag_entry(ghi, entry)], axis=k)
+    ae = np.concatenate([A.sample(glo), A.sample(pts), A.sample(ghi)], axis=k)
     lo, hi = _neighbours(ae, k)
     return 0.5 * (lo + hi)
 
 
 class _DiffusionOperator:
-    """Matrix-free  u -> -div(diag-face A grad u)  with Dirichlet data at
-    the ghost cells.
+    """Matrix-free  u -> -div(A grad u), A taken at the faces by _faces,
+    with Dirichlet data at the ghost cells.
 
     `apply` works in flux and term buffers owned by the operator, so one
     operator must not apply concurrently from two threads.
@@ -301,7 +262,7 @@ class _DiffusionOperator:
         T = np.empty(shape)      # low minus high flux of each cell
         gf, tf = G.reshape(-1), T.reshape(-1)
         for k, ax in enumerate(axes):
-            face = _faces(A, pts, ax, k, min(k, A.d_mat - 1))
+            face = _faces(A, pts, ax, k)
             self.face_coef.append(face)
             glo, ghi = _ghost_points(pts, ax, k)
             self.bdry_val.append((_eval(boundary, glo).take(0, axis=k),
@@ -662,7 +623,7 @@ def _v_step_matrices(P, pts):
     """Tridiagonal coefficients of the implicit v operator, per x column."""
     x_axis, v_axis = P.axes
     hv = v_axis.h
-    face = _faces(P.coefficients, pts, v_axis, 1, P.coefficients.d_mat - 1)
+    face = _faces(P.coefficients, pts, v_axis, 1)
     shape = pts.shape[:-1]                            # (Nx, Nv)
     B = _eval(P.drift, pts)                           # no drift: zeros
     if B.shape != shape:
@@ -820,8 +781,7 @@ def residual_check(sol, P, seed=0):
                   (v_axis.lo, v_axis.hi)]
         bumps = default_bumps(bounds, seed=seed)
         pts = _cell_points(P.axes)
-        fa = _faces(P.coefficients, pts, v_axis, 1,
-                    P.coefficients.d_mat - 1)[:, 1:-1]     # interior faces
+        fa = _faces(P.coefficients, pts, v_axis, 1)[:, 1:-1]   # interior faces
         B = _eval(P.drift, pts)
         source = _source_in_time(P, pts)
         vol = x_axis.h * v_axis.h

@@ -247,6 +247,22 @@ def test_harnack_reuses_its_worker_thread(tmp_path, monkeypatch):
     assert threads[0] is not threading.current_thread()
 
 
+def test_holder_scan_reuses_its_worker_threads(tmp_path, monkeypatch):
+    # at --jobs 2 both calls submit to the one kept pool of two threads
+    threads, instance = set(), cli._holder_instance
+
+    def recorded(i, cfg):
+        threads.add(threading.current_thread())
+        return instance(i, cfg)
+
+    monkeypatch.setattr(cli, "_holder_instance", recorded)
+    for out in ("a", "b"):
+        code, _, _ = _run(tmp_path, "holder-scan", {"seed": 1, "n": 32, "instances": 3},
+                          out=out, jobs=2)
+        assert code == 0
+    assert 1 <= len(threads) <= 2 and threading.current_thread() not in threads
+
+
 def test_harnack_nonpositive_data_fails(tmp_path):
     code, report, _ = _run(tmp_path, "harnack",
                            {"seed": 1, "instances": 1, "floor": -2.0})

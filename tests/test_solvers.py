@@ -19,25 +19,39 @@ def test_make_coefficients_validation():
         sv.make_coefficients({"kind": "identity", "lam": 2.0, "Lam": 1.0})
 
 
-@pytest.mark.parametrize("key, value", [("box", [[0, 2]]), ("tile", 4)])
+@pytest.mark.parametrize("key, value", [("box", [[0, 2]]), ("tile", 4), ("d", 2),
+                                        ("point_dim", 2)])
 def test_make_coefficients_rejects_unknown_keys(key, value):
-    # a stale or misspelt key would otherwise build the default field
+    # a stale or misspelt key would otherwise build the default field; the
+    # field is scalar, and its point dimension is read from the points
     spec = {"kind": "checkerboard", "lam": 0.5, "Lam": 1.0, key: value}
     with pytest.raises(ValueError, match=f"unknown coefficient spec keys \\['{key}'\\]"):
         sv.make_coefficients(spec)
 
 
-def test_coefficient_eigenvalues_within_band():
+def test_coefficient_values_within_band():
     rng = np.random.default_rng(0)
     for kind in ("checkerboard", "random-piecewise-constant",
                  "rotating-anisotropy"):
         coef = sv.make_coefficients({"kind": kind, "lam": 0.2, "Lam": 1.0,
-                                     "tiles": 4, "point_dim": 2}, seed=3)
+                                     "tiles": 4}, seed=3)
         pts = rng.uniform(-1, 1, (200, 2))
-        A = coef.sample(pts)
-        w = np.linalg.eigvalsh(A)
-        assert w.min() >= 0.2 - 1e-10
-        assert w.max() <= 1.0 + 1e-10
+        a = coef.sample(pts)
+        assert a.shape == (200,)
+        assert a.min() >= 0.2 - 1e-10
+        assert a.max() <= 1.0 + 1e-10
+
+
+@pytest.mark.parametrize("dp", [1, 2, 3])
+def test_random_field_draws_one_value_per_tile_of_the_sampled_dimension(dp):
+    tiles, seed = 3, 11
+    coef = sv.make_coefficients({"kind": "random-piecewise-constant", "lam": 0.3,
+                                 "Lam": 0.9, "tiles": tiles}, seed=seed)
+    pts = np.random.default_rng(dp).uniform(-1, 1, (7, 50, dp))
+    table = np.random.default_rng(seed).uniform(0.3, 0.9, tiles ** dp)
+    idx = np.floor((pts + 1.0) / 2.0 * tiles).astype(int)
+    flat = np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), (tiles,) * dp)
+    assert _same_bits(coef.sample(pts), table[flat])
 
 
 @pytest.mark.filterwarnings("error")
@@ -47,7 +61,7 @@ def test_far_coordinates_lie_in_the_edge_tiles():
     # tile 7 (odd: Lam) above the box, tile 0 (even: lam) below it, also
     # past the int64 range
     pts = np.array([[1e18], [1e30], [-1e18], [-1e30]])
-    assert coef.sample(pts)[:, 0, 0].tolist() == [1.0, 1.0, 0.5, 0.5]
+    assert coef.sample(pts).tolist() == [1.0, 1.0, 0.5, 0.5]
 
 
 def test_elliptic_exact_on_affine():
@@ -374,14 +388,14 @@ class _LoopOperator:
         self.face_coef = []
         self.bdry_val = []
         for k, ax in enumerate(axes):
-            a = A.diag_entry(pts, min(k, A.d_mat - 1))
+            a = A.sample(pts)
             # ghost centers half a cell outside the box
             glo = pts.take([0], axis=k).copy()
             glo[..., k] = ax.lo - 0.5 * ax.h
             ghi = pts.take([-1], axis=k).copy()
             ghi[..., k] = ax.hi + 0.5 * ax.h
-            a_glo = A.diag_entry(glo, min(k, A.d_mat - 1))
-            a_ghi = A.diag_entry(ghi, min(k, A.d_mat - 1))
+            a_glo = A.sample(glo)
+            a_ghi = A.sample(ghi)
             inner = 0.5 * (np.take(a, range(0, ax.n - 1), axis=k)
                            + np.take(a, range(1, ax.n), axis=k))
             face = np.concatenate([0.5 * (a_glo + a.take([0], axis=k)), inner,
@@ -492,14 +506,14 @@ def _jacobi(diag, shift):
 def _loop_v_step_matrices(P, pts):
     x_axis, v_axis = P.axes
     hv = v_axis.h
-    a = P.coefficients.diag_entry(pts, P.coefficients.d_mat - 1)  # (Nx, Nv)
+    a = P.coefficients.sample(pts)                   # (Nx, Nv)
     # face coefficients in v, ghost cells half a step outside with same rule
     lo_pts = pts[:, :1, :].copy()
     lo_pts[..., 1] = v_axis.lo - 0.5 * hv
     hi_pts = pts[:, -1:, :].copy()
     hi_pts[..., 1] = v_axis.hi + 0.5 * hv
-    a_lo = P.coefficients.diag_entry(lo_pts, P.coefficients.d_mat - 1)
-    a_hi = P.coefficients.diag_entry(hi_pts, P.coefficients.d_mat - 1)
+    a_lo = P.coefficients.sample(lo_pts)
+    a_hi = P.coefficients.sample(hi_pts)
     ae = np.concatenate([a_lo, a, a_hi], axis=1)
     face = 0.5 * (ae[:, :-1] + ae[:, 1:])            # (Nx, Nv+1)
     B = np.zeros_like(a)
@@ -511,18 +525,15 @@ def _loop_v_step_matrices(P, pts):
     return lower, diag, upper
 
 
-def _rough_fields(point_dim, d):
+def _rough_fields(point_dim):
     """Checkerboard, random-piecewise-constant and rotating-anisotropy
-    fields of d x d matrices over points in R^point_dim; the last two are
-    scalar (d = 1) where d x d is not defined for them."""
-    dm = d if d <= 2 else 1
+    fields for points in R^point_dim."""
     yield sv.make_coefficients({"kind": "checkerboard", "lam": 0.2, "Lam": 1.0,
-                                "tiles": 5, "d": d})
+                                "tiles": 5})
     yield sv.make_coefficients({"kind": "random-piecewise-constant", "lam": 0.3,
-                                "Lam": 1.0, "tiles": 4, "d": dm,
-                                "point_dim": point_dim}, seed=point_dim)
+                                "Lam": 1.0, "tiles": 4}, seed=point_dim)
     yield sv.make_coefficients({"kind": "rotating-anisotropy", "lam": 0.25,
-                                "Lam": 1.0, "d": dm})
+                                "Lam": 1.0})
 
 
 def _zero_heavy(rng, shape):
@@ -545,7 +556,7 @@ def test_operator_reproduces_the_loop_stencil_bit_for_bit(axes):
     rng = np.random.default_rng(len(axes))
     shape = tuple(a.n for a in axes)
     boundary = lambda p: np.sin(3 * p[..., 0]) + p[..., -1] ** 2
-    for A in _rough_fields(len(axes), len(axes)):
+    for A in _rough_fields(len(axes)):
         op = sv._DiffusionOperator(axes, A, boundary)
         ref = _LoopOperator(axes, A, boundary)
         assert all(np.array_equal(f, g) for f, g in zip(op.face_coef, ref.face_coef))
@@ -573,7 +584,7 @@ def test_operator_reproduces_the_loop_stencil_bit_for_bit(axes):
 def test_pcg_reproduces_the_allocating_loop_bit_for_bit(axes, shift):
     rng = np.random.default_rng(10 + len(axes))
     shape = tuple(a.n for a in axes)
-    for A in _rough_fields(len(axes), len(axes)):
+    for A in _rough_fields(len(axes)):
         op = sv._DiffusionOperator(axes, A)
         ref = _LoopOperator(axes, A)
         diag = op.diagonal()
@@ -587,9 +598,9 @@ def test_pcg_reproduces_the_allocating_loop_bit_for_bit(axes, shift):
             assert history == history_pairwise
 
 
-def _all_fields(point_dim, d):
+def _all_fields(point_dim):
     yield _identity()
-    yield from _rough_fields(point_dim, d)
+    yield from _rough_fields(point_dim)
 
 
 @pytest.mark.parametrize("axes", [
@@ -604,7 +615,7 @@ def _all_fields(point_dim, d):
 def test_multigrid_pcg_matches_the_jacobi_loop(axes, shift):
     rng = np.random.default_rng(20 + len(axes))
     shape = tuple(a.n for a in axes)
-    for A in _all_fields(len(axes), len(axes)):
+    for A in _all_fields(len(axes)):
         op, ref = sv._DiffusionOperator(axes, A), _LoopOperator(axes, A)
         precond = sv._VCycle(op, A, shift=shift)
         assert len(precond.levels) > 1
@@ -626,7 +637,7 @@ def test_vcycle_is_symmetric_positive_definite(axes, shift):
     # the operator L itself too: CG needs both symmetric
     rng = np.random.default_rng(7)
     shape = tuple(a.n for a in axes)
-    for A in _all_fields(len(axes), len(axes)):
+    for A in _all_fields(len(axes)):
         op = sv._DiffusionOperator(axes, A)
         precond = sv._VCycle(op, A, shift=shift)
         for _ in range(3):
@@ -662,7 +673,7 @@ def test_elliptic_and_parabolic_solves_call_no_blas(monkeypatch):
             monkeypatch.setattr(np, name, blas)
     axes = [Axis("x", -1, 1, 12), Axis("x", -1, 1, 10)]
     A = sv.make_coefficients({"kind": "checkerboard", "lam": 0.2, "Lam": 1.0,
-                              "tiles": 3, "d": 2})
+                              "tiles": 3})
     sol = sv.solve_elliptic(sv.Problem(kind="elliptic", axes=axes, coefficients=A,
                                        boundary=0.5, source=1.0))
     assert sol.info["iterations"] > 1
@@ -675,7 +686,7 @@ def test_elliptic_and_parabolic_solves_call_no_blas(monkeypatch):
 @pytest.mark.parametrize("drift", [None, lambda p: np.sin(4 * p[..., 0]) - 2 * p[..., 1]],
                          ids=["no-drift", "drift"])
 def test_v_step_matrices_reproduce_the_loop_face_build(drift):
-    for A in _rough_fields(2, 1):
+    for A in _rough_fields(2):
         P = _rough_kinetic_problem(24, 40, 4, 5, drift=drift)
         P.coefficients = A
         pts = sv._cell_points(P.axes)
