@@ -344,15 +344,24 @@ def _pool(jobs):
     return ThreadPoolExecutor(max_workers=jobs)
 
 
+def _coefficients(cfg, seed):
+    """The coefficient field of a holder-scan or harnack config; a field
+    that cannot be built is a config error."""
+    spec = {"kind": cfg["coefficient"], "lam": cfg["lam"], "Lam": cfg["Lam"],
+            "tiles": cfg["tiles"]}
+    try:
+        return sv.make_coefficients(spec, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _holder_instance(i, cfg):
     """(i, oscillation profile) of instance i, or (i, the SolverError) when
     its solve fails."""
     rng = np.random.default_rng(cfg["seed"] + 1000 * i)
     n, b = cfg["n"], cfg["box"]
     axes = [Axis("x", -b, b, n), Axis("x", -b, b, n)]
-    spec = {"kind": cfg["coefficient"], "lam": cfg["lam"], "Lam": cfg["Lam"],
-            "tiles": cfg["tiles"]}
-    coef = sv.make_coefficients(spec, seed=cfg["seed"] + i)
+    coef = _coefficients(cfg, cfg["seed"] + i)
     a0, a1, a2 = rng.uniform(-1, 1, 3)
     P = sv.Problem(kind="elliptic", axes=axes, coefficients=coef,
                    boundary=lambda p: a0 + a1 * p[..., 0] + a2 * p[..., 1],
@@ -365,6 +374,7 @@ def _holder_instance(i, cfg):
 
 
 def cmd_holder_scan(cfg, jobs, outdir):
+    _coefficients(cfg, cfg["seed"])  # a bad field fails before any instance
     instances = range(cfg["instances"])
     if jobs == 1:
         # in this thread: a worker thread may get a fresh malloc arena,
@@ -419,9 +429,7 @@ def _harnack_instance(i, cfg):
         xc = rng.uniform(-0.2, 0.2)
         vc = rng.uniform(-0.3, 0.3)
         f0 = cfg["floor"] + np.exp(-8 * (X - xc) ** 2 - 4 * (V - vc) ** 2)
-        spec = {"kind": cfg["coefficient"], "lam": cfg["lam"],
-                "Lam": cfg["Lam"], "tiles": cfg["tiles"]}
-        coef = sv.make_coefficients(spec, seed=cfg["seed"] + i)
+        coef = _coefficients(cfg, cfg["seed"] + i)
         P = sv.Problem(kind="kinetic-fp", axes=axes, coefficients=coef,
                        initial=GridFunction(axes, f0), source=0.0,
                        t_final=cfg["t_final"], nt=cfg["nt"])
@@ -431,6 +439,7 @@ def _harnack_instance(i, cfg):
 
 
 def cmd_harnack(cfg, jobs, outdir):
+    _coefficients(cfg, cfg["seed"])  # a bad field fails before any instance
     records, rows = [], []
     futures = [_pool(jobs).submit(_harnack_instance, i, cfg)
                for i in range(cfg["instances"])]

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .gridfn import Axis
 from .geometry import (EuclideanBall, KineticCylinder, ParabolicCylinder,
@@ -174,16 +173,24 @@ class RasterMask:
         self.mask |= self.rasterize(region)
 
     def boundary_slack(self):
-        """Volume of the one-cell boundary layer of the current mask."""
-        # dilation and erosion (cross structure, zero border) are both False
-        # outside the mask's bounding box padded by one cell
+        """Volume of the one-cell boundary layer of the current mask: the
+        cells where its dilation and erosion by the cross (zero border)
+        differ."""
+        # both are False outside the mask's bounding box padded by one cell;
+        # inside it the layer is the cells that differ from a neighbour along
+        # some axis, with the zero border beyond the box as a neighbour
         box = _bounding_box(self.mask, pad=1)
         if box is None:
             return 0.0
-        sub = self.mask[box]
-        dil = ndimage.binary_dilation(sub)
-        ero = ndimage.binary_erosion(sub)
-        return float((dil & ~ero).sum()) * self.cell_volume
+        sub = np.pad(self.mask[box], 1)
+        layer = np.zeros_like(sub)
+        for ax in range(sub.ndim):
+            lo, hi = ((slice(None),) * ax + (s,) for s in (slice(None, -1), slice(1, None)))
+            edge = sub[lo] != sub[hi]
+            layer[lo] |= edge
+            layer[hi] |= edge
+        inside = layer[(slice(1, -1),) * sub.ndim]
+        return float(np.count_nonzero(inside)) * self.cell_volume
 
 
 # ---------------------------------------------------------------------------

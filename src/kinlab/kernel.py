@@ -64,14 +64,17 @@ def gamma(t, x, v):
     # order as the log-space formula in the module docstring.
     q = x - 0.5 * tpos[..., None] * v
     np.square(q, out=q)
-    s = np.asarray(q.sum(axis=-1))
+    # a one-element reduction returns its element: at d = 1 skip the pass
+    s = q[..., 0] if d == 1 else np.asarray(q.sum(axis=-1))
     np.multiply(3.0, s, out=s)
     np.divide(s, tpos ** 3, out=s)
     np.subtract(0.5 * d * math.log(3.0 / (4.0 * math.pi ** 2))
                 - 2.0 * d * np.log(tpos), s, out=s)
     np.subtract(s, 0.25 * np.sum(v * v, axis=-1) / tpos, out=s)
     np.exp(s, out=s)
-    np.copyto(s, 0.0, where=~(t > 0.0))
+    off = ~(t > 0.0)
+    if off.any():
+        np.copyto(s, 0.0, where=off)
     return s if s.ndim else float(s)
 
 
@@ -81,7 +84,8 @@ def gamma_tail_mass(L, d=1):
     Gaussian tail bound from the diagonalized quadratic form: the marginals
     of gamma1 are centered Gaussians with Var(x_i) = 2/3, Var(v_i) = 2.
     """
-    from scipy.special import ndtr  # loaded with scipy.ndimage already
+    # the only SciPy submodule lab loads, and only verify-kernel reaches it
+    from scipy.special import ndtr
     tail = 0.0
     for var in (2.0 / 3.0, 2.0):
         tail += d * 2.0 * ndtr(-L / math.sqrt(var))
@@ -474,6 +478,7 @@ def adjoint_identity_check(bump, n_quad=(40, 72, 48)):
     K = bump.transport_plus_lap((ts[:, None, None], xs[:, None], vs))
     vol = ds * ax_x.h * ax_v.h
     keep = K != 0.0
+    all_kept = bool(keep.all())
 
     # output points: lattice points in the lower-t region of the support
     t_sel = ts[(ts > lo[0] + 0.15 * (hi[0] - lo[0])) & (ts < lo[0] + 0.5 * (hi[0] - lo[0]))]
@@ -492,8 +497,9 @@ def adjoint_identity_check(bump, n_quad=(40, 72, 48)):
         tj = tau[j:, None, None]
         g = gamma(tj, ((xs[:, None] - x) - tj * v)[..., None], (vs - v)[:, None])
         g *= K[j:]
-        # the kept cells in C order: the same 1-D sum as over a flattened grid
-        lhs[i] = float(g[keep[j:]].sum()) * vol
+        # the kept cells in C order: the same 1-D sum as over a flattened
+        # grid; when every cell is kept, g itself holds them in that order
+        lhs[i] = float((g if all_kept else g[keep[j:]]).sum()) * vol
         lhs[i] += delta * float(bump.transport_plus_lap((t, x, v)))
         phi_vals[i] = float(bump.value((t, x, v)))
     num = np.sqrt(np.mean((lhs + phi_vals) ** 2))

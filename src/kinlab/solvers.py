@@ -115,7 +115,8 @@ class CoefficientField:
 def make_coefficients(spec, seed=0):
     """Build a CoefficientField from a plain dict spec.
 
-    Keys: kind, lam, Lam, tiles; any other key is a ValueError.
+    Keys: kind, lam, Lam, tiles; any other key is a ValueError, and so is
+    an identity field whose band [lam, Lam] does not hold its value 1.
     """
     unknown = sorted(set(spec) - _SPEC_KEYS)
     if unknown:
@@ -127,6 +128,8 @@ def make_coefficients(spec, seed=0):
     Lam = float(spec.get("Lam", 1.0))
     if not (0 < lam <= Lam):
         raise ValueError("need 0 < lam <= Lam")
+    if kind == "identity" and not (lam <= 1.0 <= Lam):
+        raise ValueError("the identity coefficient is 1: need lam <= 1 <= Lam")
     return CoefficientField(kind, lam, Lam, int(spec.get("tiles", 8)), seed)
 
 

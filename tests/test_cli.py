@@ -428,6 +428,18 @@ def test_ink_spots_lattice_without_a_resolved_radius_is_config_error(tmp_path, c
     assert capsys.readouterr().err.startswith("config error: m = 100 and r0 = 1.0")
 
 
+@pytest.mark.parametrize("command", ["holder-scan", "harnack"])
+@pytest.mark.parametrize("lam, Lam", [(2.0, 3.0), (0.2, 0.5)])
+def test_identity_coefficient_outside_its_band_is_config_error(tmp_path, capsys,
+                                                               command, lam, Lam):
+    # the field is 1 whatever lam and Lam say; no instance runs
+    cfg = {"seed": 0, "instances": 2, "coefficient": "identity", "lam": lam, "Lam": Lam}
+    code, report, _ = _run(tmp_path, command, cfg)
+    assert code == 3 and report is None
+    assert capsys.readouterr().err == (
+        "config error: the identity coefficient is 1: need lam <= 1 <= Lam\n")
+
+
 def test_every_range_names_a_config_key_and_admits_its_defaults():
     keys = set().union(*cli._SCHEMAS.values())
     assert set(cli._RANGES) == keys

@@ -206,15 +206,18 @@ def _full_slack(mask_obj):
     return float(layer.sum()) * mask_obj.cell_volume
 
 
-@pytest.mark.parametrize("shape", [(9, 11), (7, 10, 6)])
+@pytest.mark.parametrize("shape", [(9, 11), (7, 10, 6), (1, 9), (2, 11), (7, 1, 6),
+                                   (7, 10, 2), (1, 2, 6)])
 def test_boundary_slack_equals_full_lattice(shape):
     rng = np.random.default_rng(sum(shape))
     axes = [Axis(r, -1, 1, n) for r, n in zip("txv", shape)]
     masks = [rng.random(shape) < p for p in (0.02, 0.2, 0.6, 0.97)]
-    # a random blob in the middle, and masks touching every array face
+    masks.append(np.zeros(shape, bool))
+    # a random blob in the middle (empty along an axis of under 5 cells),
+    # and masks touching every array face
     blob = np.zeros(shape, bool)
-    blob[tuple(slice(2, n - 2) for n in shape)] = rng.random(
-        tuple(n - 4 for n in shape)) < 0.5
+    middle = tuple(slice(2, n - 2) for n in shape)
+    blob[middle] = rng.random(blob[middle].shape) < 0.5
     masks.append(blob)
     for ax, n in enumerate(shape):
         for i in (0, n - 1):

@@ -313,6 +313,22 @@ def test_adjoint_identity_bitwise_equals_flattened_loop(n_quad, band_cells):
                                                          band_cells=band_cells)
 
 
+class _HoledBump(ker.Bump):
+    """A Bump whose transport_plus_lap is 0 in a band of v: quadrature cells
+    that the adjoint check drops."""
+
+    def transport_plus_lap(self, coords):
+        K = super().transport_plus_lap(coords)
+        return np.where(np.abs(np.asarray(coords[2]) - 0.2) < 0.1, 0.0, K)
+
+
+def test_adjoint_identity_with_dropped_cells_equals_flattened_loop():
+    bump = _HoledBump(centers=(0.6, 0.0, 0.0), widths=(0.45, 0.8, 0.8))
+    rep = ker.adjoint_identity_check(bump, n_quad=(20, 36, 24))
+    assert rep.rel_error == _adjoint_rel_error_reference(bump, (20, 36, 24),
+                                                         band_cells=ker._BAND_CELLS)
+
+
 def _bump_and_interior_points(d, seed, n=40):
     """A phase-space Bump in (t, x_1..x_d, v_1..v_d) and n points well
     inside its support."""

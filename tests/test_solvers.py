@@ -8,8 +8,8 @@ from kinlab import solvers as sv
 from kinlab import kernel as ker
 
 
-def _identity(lam=1.0):
-    return sv.make_coefficients({"kind": "identity", "lam": lam, "Lam": lam})
+def _identity():
+    return sv.make_coefficients({"kind": "identity", "lam": 1.0, "Lam": 1.0})
 
 
 def test_make_coefficients_validation():
@@ -17,6 +17,16 @@ def test_make_coefficients_validation():
         sv.make_coefficients({"kind": "nope", "lam": 1, "Lam": 1})
     with pytest.raises(ValueError):
         sv.make_coefficients({"kind": "identity", "lam": 2.0, "Lam": 1.0})
+
+
+def test_identity_coefficients_need_one_in_their_band():
+    # the identity field is 1 whatever lam and Lam say
+    for lam, Lam in ((2.0, 3.0), (0.2, 0.5), (1.5, 1.5)):
+        with pytest.raises(ValueError, match="identity coefficient is 1: need lam <= 1"):
+            sv.make_coefficients({"kind": "identity", "lam": lam, "Lam": Lam})
+    for lam, Lam in ((0.5, 1.0), (1.0, 1.0), (1.0, 4.0)):
+        coef = sv.make_coefficients({"kind": "identity", "lam": lam, "Lam": Lam})
+        assert np.all(coef.sample(np.zeros((3, 2))) == 1.0)
 
 
 @pytest.mark.parametrize("key, value", [("box", [[0, 2]]), ("tile", 4), ("d", 2),
@@ -706,7 +716,7 @@ def test_a_source_without_t_is_evaluated_once_per_solve():
         return np.cos(7 * t) * p[..., -1]
 
     par = dict(kind="parabolic", axes=[Axis("x", -1, 1, 16)],
-               coefficients=_identity(0.5), boundary=0.2, t_final=0.1, nt=5,
+               coefficients=_identity(), boundary=0.2, t_final=0.1, nt=5,
                initial=lambda p: np.cos(p[..., 0]))
     for source, n_calls in ((once, 1), (per_step, 5)):
         calls.clear()
