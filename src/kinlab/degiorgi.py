@@ -14,7 +14,10 @@ differences attributed to the lower cell; all measured constants carry the
 discretization slack of the raster geometry they were measured on.  Time-
 dependent inputs are solver Solutions whose info dict holds the stored time
 slices; times are shifted so the final slice sits at time 0 and cylinders
-use the standard backward-in-time anchoring.
+use the standard backward-in-time anchoring.  The Harnack quotient reads
+only three running values, so it is one object fed a slice at a time:
+harnack_quotient feeds it a stored history, and a kinetic solve can feed it
+each slice as the observer of solvers.solve_kinetic_fp, storing none.
 """
 
 import math
@@ -92,12 +95,18 @@ class _Trajectory:
         return np.stack(np.broadcast_arrays(*self.axes), axis=-1)
 
 
-def _trajectory(sol, scale=None):
+def _tau(times, scale=None):
     """tau = t - t_final; with scale set, tau / (time span) * scale."""
-    hist, times = sol.info["history"], sol.info["times"]
     tau = np.asarray(times) - times[-1]
     if scale is not None:
         tau = tau / (times[-1] - times[0]) * scale
+    return tau
+
+
+def _trajectory(sol, scale=None):
+    """The stored slices of sol on the shifted time axis _tau(times, scale)."""
+    hist, times = sol.info["history"], sol.info["times"]
+    tau = _tau(times, scale)
     dtau = tau[1] - tau[0] if len(tau) > 1 else 0.0
     return _Trajectory(hist, times, tau, np.ix_(*sol.u.centers()),
                        sol.u.cell_volume, dtau)
@@ -290,6 +299,64 @@ class HarnackReport:
     geometry: dict
 
 
+def _in_time_window(Q, tau):
+    """Which of the times tau lie in the window (t0 - R^2, t0] of the
+    kinetic cylinder Q, by the test cylinder_mask makes."""
+    dt = tau - Q.center.t
+    r = Q.radius
+    return (dt > -r * r) & (dt <= 0.0)
+
+
+class _HarnackQuotient:
+    """The Harnack quotient of a trajectory fed one slice at a time, by
+    calling it as q(n, f) for n = 0, 1, ... with the slice f at times[n].
+
+    It keeps the minimum of each slice, the sup over the past cylinder and
+    the inf over the future one, and evaluates a cylinder's mask only on the
+    slices inside its time window; it keeps no reference to f.  Called by
+    harnack_quotient on stored slices, and by a kinetic solve as its
+    observer.
+    """
+
+    def __init__(self, times, axes, omega):
+        self.omega = omega
+        self.span = times[-1] - times[0]
+        tau = _tau(times, scale=1.0)
+        self.tau = tau.reshape((-1,) + (1,) * len(axes))
+        self.grids = np.ix_(*(a.centers() for a in axes))
+        # cylinders live in the scaled time variable; x, v stay in grid units
+        self.past = _cylinder_at((-1.0 + omega ** 2, 0.0, 0.0), omega)
+        self.future = _cylinder_at((0.0, 0.0, 0.0), omega)
+        self.in_past = _in_time_window(self.past, tau)
+        self.in_future = _in_time_window(self.future, tau)
+        self.minima = []
+        self.sup_past, self.inf_future = -math.inf, math.inf
+
+    def __call__(self, n, f):
+        self.minima.append(f.min())
+        if self.in_past[n]:
+            m = cylinder_mask(self.past, (self.tau[n], *self.grids))
+            if m.any():
+                self.sup_past = max(self.sup_past, float(f[m].max()))
+        if self.in_future[n]:
+            m = cylinder_mask(self.future, (self.tau[n], *self.grids))
+            if m.any():
+                self.inf_future = min(self.inf_future, float(f[m].min()))
+
+    def report(self):
+        """The HarnackReport of the slices fed so far."""
+        if min(self.minima) <= 0:
+            raise ValueError("harnack quotient needs a positive solution")
+        if not np.isfinite(self.sup_past) or not np.isfinite(self.inf_future):
+            raise ValueError("cylinders not resolved by the stored trajectory")
+        # inf_future > 0: every value fed is positive
+        return HarnackReport(self.sup_past, self.inf_future,
+                             self.sup_past / self.inf_future,
+                             {"omega": self.omega,
+                              "past": "Q_omega(-1+omega^2,0,0)",
+                              "future": "Q_omega", "time_span": self.span})
+
+
 def harnack_quotient(sol, omega=0.25):
     """sup over the past cylinder vs inf over the future cylinder.
 
@@ -297,26 +364,10 @@ def harnack_quotient(sol, omega=0.25):
     past cylinder is Q_omega(-1 + omega^2, 0, 0) and the future one is
     Q_omega, both scaled by the trajectory's time span.
     """
-    tr = _trajectory(sol, scale=1.0)
-    span = tr.times[-1] - tr.times[0]
-    if min(h.min() for h in tr.history) <= 0:
-        raise ValueError("harnack quotient needs a positive solution")
-    # cylinders live in the scaled time variable; x, v stay in grid units
-    past = _cylinder_at((-1.0 + omega ** 2, 0.0, 0.0), omega)
-    future = _cylinder_at((0.0, 0.0, 0.0), omega)
-    sup_past, inf_future = -math.inf, math.inf
-    for f, m in zip(tr.history, tr.masks(past)):
-        if m.any():
-            sup_past = max(sup_past, float(f[m].max()))
-    for f, m in zip(tr.history, tr.masks(future)):
-        if m.any():
-            inf_future = min(inf_future, float(f[m].min()))
-    if not np.isfinite(sup_past) or not np.isfinite(inf_future):
-        raise ValueError("cylinders not resolved by the stored trajectory")
-    # inf_future > 0: every stored value is positive
-    return HarnackReport(sup_past, inf_future, sup_past / inf_future,
-                         {"omega": omega, "past": "Q_omega(-1+omega^2,0,0)",
-                          "future": "Q_omega", "time_span": span})
+    quotient = _HarnackQuotient(sol.info["times"], sol.u.axes, omega)
+    for n, f in enumerate(sol.info["history"]):
+        quotient(n, f)
+    return quotient.report()
 
 
 def expansion_experiment(solutions):

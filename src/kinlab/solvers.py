@@ -32,7 +32,10 @@ implicit diffusion-drift solve in v, batched over x by a Thomas sweep.  The
 shift's gather indices and weights and the sweep's factor depend only on
 the problem and dt, so they are computed once per solve; each step then
 sweeps a v-major (Nv, Nx) buffer row by row, all x columns at once.
-Both time-dependent solvers store every time step in info["history"].
+The parabolic solver stores every time step in info["history"].  The
+kinetic solver keeps one x-major slice buffer and either hands it to an
+observer after every step, storing nothing, or stores a copy of each slice
+in info["history"].
 """
 
 import inspect
@@ -652,20 +655,23 @@ def _thomas_factor(lower, diag, upper):
     return c, den
 
 
-def _thomas_sweep(lower, c, den, d, tmp):
+def _thomas_sweep(lower, c, den, d, tmp,
+                  mul=np.multiply, sub=np.subtract, div=np.divide):
     """Solve in place with a factor from _thomas_factor: the row views d
-    hold the right-hand sides on entry and the solution on exit."""
-    np.divide(d[0], den[0], out=d[0])
+    hold the right-hand sides on entry and the solution on exit.  The
+    ufuncs are bound as defaults and take out positionally: the rows are
+    short, so call overhead is most of a sweep."""
+    div(d[0], den[0], d[0])
     for lo, dn, prev, row in zip(lower[1:], den[1:], d[:-1], d[1:]):
-        np.multiply(lo, prev, out=tmp)
-        np.subtract(row, tmp, out=row)
-        np.divide(row, dn, out=row)
+        mul(lo, prev, tmp)
+        sub(row, tmp, row)
+        div(row, dn, row)
     for cj, nxt, row in zip(c[-2::-1], d[:0:-1], d[-2::-1]):
-        np.multiply(cj, nxt, out=tmp)
-        np.subtract(row, tmp, out=row)
+        mul(cj, nxt, tmp)
+        sub(row, tmp, row)
 
 
-def solve_kinetic_fp(P):
+def solve_kinetic_fp(P, observe=None):
     """Split-step kinetic solve: exact x-transport, implicit v-diffusion.
 
     Axes must be (x periodic, v); Dirichlet 0 at the v boundary.  Mass is
@@ -673,8 +679,12 @@ def solve_kinetic_fp(P):
     the v boundary; the running mass trace is reported.
 
     The transport plan and the Thomas factor of I/dt + (v operator) are
-    computed once; each step sweeps a v-major (Nv, Nx) buffer, and the
-    mass trace sums and the history stores its x-major copy.
+    computed once; each step sweeps a v-major (Nv, Nx) buffer and copies it
+    into one x-major slice buffer, which the mass trace sums.  observe(n, f)
+    is called on that buffer for each slice n = 0..nt, at time n dt; the
+    observer only reads it, and copies what it keeps, because the next step
+    overwrites it.  Without observe, a copy of every slice is stored in
+    info["history"].
     """
     if P.kind != "kinetic-fp":
         raise ValueError("expected a kinetic-fp problem")
@@ -685,7 +695,7 @@ def solve_kinetic_fp(P):
     x_axis, v_axis = P.axes
     pts = _cell_points(P.axes)
     dt = P.t_final / P.nt
-    f = _eval(P.initial, pts)
+    f0 = _eval(P.initial, pts)
     Idt = 1.0 / dt
     lower, diag, upper = (m.T.copy() for m in _v_step_matrices(P, pts))
     c, den = _thomas_factor(lower, diag + Idt, upper)
@@ -695,23 +705,34 @@ def solve_kinetic_fp(P):
     rows, tmp = list(buf), np.empty(x_axis.n)
     lower, c, den = list(lower), list(c), list(den)
     source = _source_in_time(P, pts)
-    mass = [float(f.sum()) * x_axis.h * v_axis.h]
-    history = [f.copy()]
+    if P._source_takes_t:
+        source_vmajor = lambda t: np.broadcast_to(source(t), f0.shape).T
+    else:
+        S = np.broadcast_to(source(0.0), f0.shape).T
+        source_vmajor = lambda t: S
+    history = None
+    if observe is None:
+        history = []
+        observe = lambda n, f: history.append(f.copy())
+    mass = [float(f0.sum()) * x_axis.h * v_axis.h]
     times = [0.0]
+    f = f0.copy()              # the x-major slice buffer
+    observe(0, f)
     for n in range(P.nt):
         _transport(f, plan, buf, gathered)
         t_new = (n + 1) * dt
         np.multiply(buf, Idt, out=buf)
-        np.add(buf, np.broadcast_to(source(t_new), f.shape).T, out=buf)
+        np.add(buf, source_vmajor(t_new), out=buf)
         _thomas_sweep(lower, c, den, rows, tmp)
-        f = buf.T.copy()
+        np.copyto(f, buf.T)
         mass.append(float(f.sum()) * x_axis.h * v_axis.h)
-        history.append(f)
         times.append(t_new)
-    info = {"dt": dt, "mass": mass, "times": times, "history": history,
+        observe(n + 1, f)
+    info = {"dt": dt, "mass": mass, "times": times,
             "mass_drift": mass[-1] - mass[0]}
+    if history is not None:
+        info["history"] = history
     if P.source_free:
-        f0 = history[0]
         info["max_principle"] = _max_principle(
             min(0.0, float(f0.min())), max(0.0, float(f0.max())), f)
     return Solution(GridFunction(P.axes, f.copy()), info)

@@ -1,5 +1,6 @@
 import json
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,20 @@ def test_harnack_constant_profile(tmp_path):
     for rec in report["records"]:
         assert rec["quotient"] == 1.0
     assert (outdir / "quotients.csv").exists()
+
+
+def test_harnack_instance_stores_no_history():
+    # one slice is 98 kB and the stored history of 129 slices 12.7 MB
+    cfg = dict(cli._SCHEMAS["harnack"], seed=5, nx=128, nv=96, nt=128,
+               coefficient="checkerboard", lam=0.2)
+    tracemalloc.start()
+    try:
+        _, rep = cli._harnack_instance(0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.quotient >= 1.0
+    assert peak < 4e6
 
 
 def test_harnack_reuses_its_worker_thread(tmp_path, monkeypatch):

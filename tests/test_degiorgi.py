@@ -157,6 +157,67 @@ def test_harnack_rejects_nonpositive():
         dg.harnack_quotient(sol)
 
 
+def _harnack_problem(nx, nv, nt, coefficient="identity", lam=1.0, floor=0.2):
+    axes = [Axis("x", -0.5, 0.5, nx), Axis("v", -1.0, 1.0, nv)]
+    X, V = np.meshgrid(axes[0].centers(), axes[1].centers(), indexing="ij")
+    f0 = floor + np.exp(-8 * (X - 0.1) ** 2 - 4 * (V + 0.2) ** 2)
+    coef = sv.make_coefficients({"kind": coefficient, "lam": lam, "Lam": 1.0},
+                                seed=5)
+    return sv.Problem(kind="kinetic-fp", axes=axes, coefficients=coef,
+                      initial=GridFunction(axes, f0), source=0.0,
+                      t_final=0.25, nt=nt)
+
+
+def _streamed_quotient(P, omega=0.25):
+    # the solver's slice times are k dt
+    dt = P.t_final / P.nt
+    quotient = dg._HarnackQuotient([k * dt for k in range(P.nt + 1)], P.axes,
+                                   omega)
+    sv.solve_kinetic_fp(P, observe=quotient)
+    return quotient
+
+
+@pytest.mark.parametrize("P", [
+    _harnack_problem(128, 96, 128, "checkerboard", 0.2),
+    _harnack_problem(64, 48, 64),
+], ids=["kinetic-rough", "default"])
+def test_streamed_harnack_quotient_equals_the_stored_one_bit_for_bit(P):
+    stored = dg.harnack_quotient(sv.solve_kinetic_fp(P))
+    streamed = _streamed_quotient(P).report()
+    assert streamed == stored
+    for field in ("sup_past", "inf_future", "quotient"):
+        assert getattr(streamed, field).hex() == getattr(stored, field).hex()
+
+
+@pytest.mark.parametrize("P, message", [
+    (_harnack_problem(64, 48, 64, floor=-0.5), "needs a positive solution"),
+    (_harnack_problem(64, 48, 4), "cylinders not resolved"),
+], ids=["floor", "nt4"])
+def test_streamed_harnack_quotient_raises_the_stored_errors(P, message):
+    with pytest.raises(ValueError, match=message) as stored:
+        dg.harnack_quotient(sv.solve_kinetic_fp(P))
+    with pytest.raises(ValueError) as streamed:
+        _streamed_quotient(P).report()
+    assert str(streamed.value) == str(stored.value)
+
+
+def test_harnack_quotient_reads_masks_only_in_the_time_windows(monkeypatch):
+    P = _harnack_problem(64, 48, 64)
+    taus = []
+    mask = dg.cylinder_mask
+
+    def recorded(Q, grids):
+        taus.append(float(grids[0].ravel()[0]))
+        return mask(Q, grids)
+
+    monkeypatch.setattr(dg, "cylinder_mask", recorded)
+    quotient = _streamed_quotient(P)
+    # omega = 0.25: each cylinder spans 1/16 of the 64 steps
+    assert len(taus) == 8
+    assert all(-1.0 < t <= -1.0 + 0.25 ** 2 or -0.25 ** 2 < t <= 0.0 for t in taus)
+    assert np.isfinite(quotient.report().quotient)
+
+
 def test_expansion_experiment_filters_hypothesis():
     big, _ = _kinetic_solution(scale=3.0)
     small, _ = _kinetic_solution()

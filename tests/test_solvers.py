@@ -357,13 +357,16 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("P", [
+_KINETIC_CASES = pytest.mark.parametrize("P", [
     _rough_kinetic_problem(40, 24, 9, 1),
     _rough_kinetic_problem(24, 40, 9, 2,
                            drift=lambda p: np.sin(4 * p[..., 0]) - 2 * p[..., 1]),
     _rough_kinetic_problem(33, 17, 9, 3,
                            source=lambda t, p: np.cos(7 * t) * p[..., 0] * p[..., 1]),
 ], ids=["checkerboard", "drift", "time-source"])
+
+
+@_KINETIC_CASES
 def test_kinetic_solver_reproduces_the_split_step_bit_for_bit(P):
     sol = sv.solve_kinetic_fp(P)
     f, history, mass, times = _oracle_kinetic_fp(P)
@@ -383,6 +386,30 @@ def test_kinetic_solver_reproduces_the_split_step_bit_for_bit(P):
             "ok": bool(f.min() >= lo - 1e-9 and f.max() <= hi + 1e-9)}
     else:
         assert "max_principle" not in sol.info
+
+
+@_KINETIC_CASES
+def test_observed_kinetic_solve_sees_the_stored_slices_and_stores_none(P):
+    stored = sv.solve_kinetic_fp(P)
+    steps, slices, buffers = [], [], []
+
+    def observe(n, f):
+        steps.append(n)
+        slices.append(f.copy())
+        buffers.append(f)
+
+    sol = sv.solve_kinetic_fp(P, observe=observe)
+    assert steps == list(range(P.nt + 1))
+    assert all(_same_bits(a, b) for a, b in zip(slices, stored.info["history"]))
+    # one x-major buffer, overwritten by every step
+    assert all(b is buffers[0] for b in buffers)
+    assert buffers[0].flags.c_contiguous and buffers[0].shape == (P.axes[0].n, P.axes[1].n)
+    assert "history" not in sol.info
+    assert sorted(sol.info) == sorted(k for k in stored.info if k != "history")
+    for key in sol.info:
+        assert sol.info[key] == stored.info[key]
+    assert _same_bits(sol.u.values, stored.u.values)
+    assert not np.shares_memory(sol.u.values, buffers[0])
 
 
 # _DiffusionOperator and the face build of _v_step_matrices as they were
