@@ -8,10 +8,13 @@ on uniform lattices with a reported boundary-cell slack.  The continuum
 
 Cylinder window sums come from prefix sums (summed-area tables) built only
 over the cells the requested anchors' windows reach, and are taken only at
-the stride anchors (every stride-th cell) of the requested box.  The
-ink-spots checks ask for the stride anchors of the bounding box of their
-admissible anchors.  They sum 0/1 masks as integers, with no float copy, so
-the box changes no bit.
+the stride anchors (every stride-th cell) of the requested box.  The kinetic
+prefix sums are padded past the lattice with their edge values, so a window
+clipped at the lattice reads the same entries as an unclipped one; they are
+differenced once per x-window width, and each time offset then costs one
+gather and one add.  The ink-spots checks ask for the stride anchors of the
+bounding box of their admissible anchors.  They sum 0/1 masks as integers,
+with no float copy, so the box changes no bit.
 The maximal function asks for every anchor, the full-lattice computation.
 Ink-spots synthesis adds, and the check tests, one union of stacks per radius.
 Both read the anchor stride from the geometry (_STRIDE): every lattice cell
@@ -231,39 +234,63 @@ def _cyl_sums_kinetic(vals, axes, r, box, stride):
     shift = -kk * dt * vc[None, :]
     LO = np.floor(shift / dx - r ** 3 / dx).astype(int) + 1
     HI = np.ceil(shift / dx + r ** 3 / dx).astype(int) - 1
-    # prefix sums only over the cells the box's windows reach: time rows
-    # t0..a1, x cells x0..x1, v cells v0..v1 (the full lattice for the full box)
+    # the box's windows read prefix-sum positions xlo..xhi along x and
+    # c0 - mv..c1 + mv along v; the prefix sums start at t0, x0 and v0
+    # (the full lattice for the full box)
     t0 = max(a0 - kmax, 0)
-    x0 = min(max(b0 + int(LO.min()), 0), Nx)
-    x1 = min(max(b1 + int(HI.max()), 0), Nx)
+    xlo, xhi = b0 + int(LO.min()), b1 + int(HI.max())
+    x0, x1 = min(max(xlo, 0), Nx), min(max(xhi, 0), Nx)
     v0, v1 = max(c0 - mv, 0), min(c1 + mv, Nv)
     LO, HI = LO[:, ::stride], HI[:, ::stride]
     counts = (HI - LO + 1).sum(axis=0) * (2 * mv + 1)
     acc = _accumulator(vals)
+    nj = len(range(c0, c1, stride))
     # window sums along v at the anchor velocities (clipped at the box; anchors
-    # near the v-edge see a truncated numerator, counts use the full width)
-    Cv = np.zeros((a1 - t0, x1 - x0, v1 - v0 + 1), acc)
-    np.cumsum(vals[t0:a1, x0:x1, v0:v1], axis=2, out=Cv[:, :, 1:])
-    j = np.arange(c0, c1, stride)
-    jlo = np.clip(j - mv, 0, Nv) - v0
-    jhi = np.clip(j + mv + 1, 0, Nv) - v0
-    Cx = np.zeros((a1 - t0, x1 - x0 + 1, j.size), acc)
-    np.cumsum(Cv[:, :, jhi] - Cv[:, :, jlo], axis=1, out=Cx[:, 1:])
-    # one gather per time offset from the (t, x.v) rows of Cx
-    flat = Cx.reshape(a1 - t0, -1)
-    c = np.arange(b0, b1, stride)[:, None]
-    jb = np.arange(j.size)[None, :]
-    sums = np.zeros((len(range(a0, a1, stride)), c.size, j.size), acc)
+    # near the v-edge see a truncated numerator, counts use the full width):
+    # prefix sums padded with zeros before the lattice and the total after it,
+    # so the windows' two ends are two strided slices; entry i holds position
+    # vlo + i
+    vlo = c0 - mv
+    Cv = np.zeros((a1 - t0, x1 - x0, c1 + mv - vlo + 1), acc)
+    np.cumsum(vals[t0:a1, x0:x1, v0:v1], axis=2,
+              out=Cv[:, :, v0 - vlo + 1:v1 - vlo + 1])
+    Cv[:, :, v1 - vlo + 1:] = Cv[:, :, v1 - vlo, None]
+    span = (nj - 1) * stride + 1
+    Dv = Cv[:, :, 2 * mv + 1:2 * mv + 1 + span:stride] - Cv[:, :, :span:stride]
+    del Cv
+    # prefix sums along x in (t, j, x) order, padded the same way from xlo
+    Cx = np.zeros((a1 - t0, nj, xhi - xlo + 1), acc)
+    np.cumsum(Dv, axis=1,
+              out=Cx[:, :, x0 - xlo + 1:x1 - xlo + 1].transpose(0, 2, 1))
+    Cx[:, :, x1 - xlo + 1:] = Cx[:, :, x1 - xlo, None]
+    del Dv
+    # one difference table per x-window width w: W[:, i, :, s] = Cx[..., s + w]
+    # - Cx[..., s], the two operands a clipped window reads, for the window
+    # starts s the anchors read
+    width = HI - LO + 1
+    widths, widx = np.unique(width, return_inverse=True)
+    widx = widx.reshape(width.shape)
+    nc = len(range(b0, b1, stride))
+    off = b0 + LO - xlo
+    n = int(off.max()) + (nc - 1) * stride + 1
+    W = np.zeros((a1 - t0, widths.size, nj, n), acc)
+    for i, w in enumerate(widths):
+        e = min(n, Cx.shape[2] - w)
+        np.subtract(Cx[:, :, w:w + e], Cx[:, :, :e], out=W[:, i, :, :e])
+    del Cx
+    # the windows of anchors b0::stride at one (width, j) are one strided run
+    runs = np.lib.stride_tricks.sliding_window_view(
+        W, (nc - 1) * stride + 1, axis=3)[..., ::stride]
+    jb = np.arange(nj)
+    sums = np.zeros((len(range(a0, a1, stride)), nj, nc), acc)
     for k in range(kmax + 1):
         # anchor rows a >= k read data row a - k; local data row a - k - t0
         p = max(-((a0 - k) // stride), 0)
         a = a0 + p * stride
         if a >= a1:
             break
-        ilo = (np.clip(c + LO[k], 0, Nx) - x0) * j.size + jb
-        ihi = (np.clip(c + HI[k] + 1, 0, Nx) - x0) * j.size + jb
-        win = np.take(flat[a - k - t0:a1 - k - t0:stride], (ihi, ilo), axis=1)
-        sums[p:] += win[:, 0] - win[:, 1]
+        sums[p:] += runs[a - k - t0:a1 - k - t0:stride, widx[k], jb, off[k]]
+    sums = sums.transpose(0, 2, 1)
     return sums, np.broadcast_to(counts.astype(float), sums.shape)
 
 
@@ -305,10 +332,15 @@ def _cyl_sums(vals, axes, r, geometry, box=None, stride=1):
     (sums, counts) on those anchors, counts being the full-cylinder cell count
     (the cylinder is not clipped at the lattice; outside cells contribute 0).
     Prefix sums are built only over the cells the box's windows reach, and
-    are read only at the anchors; the stride leaves every sum unchanged.  On
-    the whole lattice this is the full-lattice computation; on a smaller box
-    the prefix sums start at another origin, which leaves the sums exact for
-    a boolean mask (summed as integers) but may move low bits of float data.
+    are read only at the anchors; the stride leaves every sum unchanged.
+    Kinetic prefix sums are kept in (t, v-anchor, x) order and padded with
+    zeros before the lattice and the running total after it, so the v
+    windows are two strided slices and every x window of one width is an
+    entry of one difference table; a time offset reads all anchors' windows
+    with one gather.  On the whole lattice this is the full-lattice
+    computation; on a smaller box the prefix sums start at another origin,
+    which leaves the sums exact for a boolean mask (summed as integers) but
+    may move low bits of float data.
     """
     if box is None:
         box = (slice(None),) * vals.ndim

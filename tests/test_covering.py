@@ -304,6 +304,107 @@ def test_boxed_window_sums_match_brute_force(geometry, axes, r, boxes):
         assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
+def _gather_cyl_sums_kinetic(vals, axes, r, box, stride):
+    """Kinetic window sums by two gathers per time offset: both clipped ends of
+    every anchor's x-window are read from the (t, x, j) prefix sums and
+    subtracted.  box = ((a0, a1), (b0, b1), (c0, c1)); the prefix sums start
+    at the same t0, x0 and v0 as covering._cyl_sums_kinetic."""
+    (a0, a1), (b0, b1), (c0, c1) = box
+    Nt, Nx, Nv = vals.shape
+    dt, dx, dv = axes[0].h, axes[1].h, axes[2].h
+    vc = axes[2].centers()[c0:c1]
+    kmax = math.ceil(r * r / dt) - 1
+    mv = math.ceil(r / dv) - 1
+    kk = np.arange(kmax + 1)[:, None]
+    shift = -kk * dt * vc[None, :]
+    LO = np.floor(shift / dx - r ** 3 / dx).astype(int) + 1
+    HI = np.ceil(shift / dx + r ** 3 / dx).astype(int) - 1
+    t0 = max(a0 - kmax, 0)
+    x0 = min(max(b0 + int(LO.min()), 0), Nx)
+    x1 = min(max(b1 + int(HI.max()), 0), Nx)
+    v0, v1 = max(c0 - mv, 0), min(c1 + mv, Nv)
+    LO, HI = LO[:, ::stride], HI[:, ::stride]
+    counts = (HI - LO + 1).sum(axis=0) * (2 * mv + 1)
+    acc = cov._accumulator(vals)
+    Cv = np.zeros((a1 - t0, x1 - x0, v1 - v0 + 1), acc)
+    np.cumsum(vals[t0:a1, x0:x1, v0:v1], axis=2, out=Cv[:, :, 1:])
+    j = np.arange(c0, c1, stride)
+    jlo = np.clip(j - mv, 0, Nv) - v0
+    jhi = np.clip(j + mv + 1, 0, Nv) - v0
+    Cx = np.zeros((a1 - t0, x1 - x0 + 1, j.size), acc)
+    np.cumsum(Cv[:, :, jhi] - Cv[:, :, jlo], axis=1, out=Cx[:, 1:])
+    flat = Cx.reshape(a1 - t0, -1)
+    c = np.arange(b0, b1, stride)[:, None]
+    jb = np.arange(j.size)[None, :]
+    sums = np.zeros((len(range(a0, a1, stride)), c.size, j.size), acc)
+    for k in range(kmax + 1):
+        p = max(-((a0 - k) // stride), 0)
+        a = a0 + p * stride
+        if a >= a1:
+            break
+        ilo = (np.clip(c + LO[k], 0, Nx) - x0) * j.size + jb
+        ihi = (np.clip(c + HI[k] + 1, 0, Nx) - x0) * j.size + jb
+        win = np.take(flat[a - k - t0:a1 - k - t0:stride], (ihi, ilo), axis=1)
+        sums[p:] += win[:, 0] - win[:, 1]
+    return sums, np.broadcast_to(counts.astype(float), sums.shape)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _maximal_axes(n):
+    return [Axis("t", -1, 0, n), Axis("x", -1, 1, n), Axis("v", -1, 1, n)]
+
+
+@pytest.mark.parametrize("n", [24, 33, 48])
+def test_kinetic_float_window_sums_keep_the_gather_bits(n):
+    # the lattice and the four radii of maximal_function; they include
+    # width-0 x-windows, windows clipped at both x ends and kmax = Nt - 1
+    axes = _maximal_axes(n)
+    vals = np.random.default_rng(n).random((n, n, n)) ** 4
+    rmax = math.sqrt(axes[0].hi - axes[0].lo)
+    assert math.ceil(rmax * rmax / axes[0].h) - 1 == n - 1
+    for k in range(4):
+        r = rmax / 2 ** k
+        want, want_cnt = _gather_cyl_sums_kinetic(vals, axes, r, [(0, n)] * 3, 1)
+        got, cnt = cov._cyl_sums(vals, axes, r, "kinetic")
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(cnt, want_cnt)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_kinetic_boxed_window_sums_keep_the_gather_bits(stride):
+    geometry, axes, r, boxes = _SUM_CASES[0]
+    assert geometry == "kinetic"
+    shape = tuple(a.n for a in axes)
+    rng = np.random.default_rng(13)
+    mask = rng.random(shape) < 0.4
+    real = rng.random(shape)
+    for box in boxes + [(slice(None),) * 3]:
+        bounds = [s.indices(n)[:2] for s, n in zip(box, shape)]
+        want, want_cnt = _gather_cyl_sums_kinetic(mask, axes, r, bounds, stride)
+        got, cnt = cov._cyl_sums(mask, axes, r, geometry, box, stride)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want) and np.array_equal(cnt, want_cnt)
+        want, _ = _gather_cyl_sums_kinetic(real, axes, r, bounds, stride)
+        got, _ = cov._cyl_sums(real, axes, r, geometry, box, stride)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_maximal_function_keeps_the_gather_bits():
+    n = 48
+    g = GridFunction(_maximal_axes(n),
+                     np.random.default_rng(3).random((n, n, n)) ** 4)
+    vals = np.abs(g.values)
+    best = np.zeros_like(vals)
+    for k in range(4):
+        s, cnt = _gather_cyl_sums_kinetic(vals, g.axes, 1.0 / 2 ** k,
+                                          [(0, n)] * 3, 1)
+        np.maximum(best, s / cnt, out=best)
+    assert np.array_equal(_bits(cov.maximal_function(g).values), _bits(best))
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("geometry, axes, r, boxes", _SUM_CASES)
 def test_strided_window_sums_are_the_full_sums_at_the_anchors(geometry, axes, r,
